@@ -63,6 +63,31 @@ fn bench_event_queue(c: &mut Criterion) {
             }
         })
     });
+    // The kernel's own pattern on the 4-CPU OpenPower 710: every popped
+    // tick re-arms itself, then each CPU's completion timer is cancelled
+    // and re-armed (4096 pops per iteration).
+    g.bench_function("rearm_4cpu", |b| {
+        const TICK: u64 = 1_000_000;
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for cpu in 0..4u64 {
+                q.schedule(simcore::SimTime(TICK + cpu), cpu);
+            }
+            let mut workdone = [simcore::EventId::NONE; 4];
+            for _ in 0..4096 {
+                let Some(tick) = q.pop() else { break };
+                let now = tick.time.as_nanos();
+                q.schedule(simcore::SimTime(now + TICK), tick.payload);
+                for (cpu, ev) in workdone.iter_mut().enumerate() {
+                    q.cancel(*ev);
+                    // Completions land beyond the next tick, so every pop
+                    // is a tick.
+                    *ev = q.schedule(simcore::SimTime(now + 2 * TICK + cpu as u64 * 7_919), 4);
+                }
+                black_box(tick.payload);
+            }
+        })
+    });
     g.finish();
 }
 

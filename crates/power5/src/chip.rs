@@ -164,66 +164,62 @@ impl Chip {
         self.contexts[cpu.0].priority = HwPriority::MEDIUM;
     }
 
-    /// Current speed factors of the contexts of `core`, in context order.
+    /// Write the current speed factor of every CPU into `out`, indexed by
+    /// CPU id (`out.len()` must be the CPU count). The one place the chip
+    /// consults its performance model; it allocates nothing for cores of
+    /// up to two contexts.
     ///
     /// For single-thread cores the single context runs at ST speed whenever
     /// loaded. On SMT cores an *unloaded* context is presented to the model
     /// according to [`IdleMode`]; an unloaded context's own speed is always
     /// reported as 0.
-    pub fn core_speeds(&self, core: CoreId) -> Vec<(CpuId, f64)> {
-        let cpus = self.topology.cpus_of_core(core);
-        let present = |cpu: &CpuId| -> CtxLoad {
-            let st = self.contexts[cpu.0];
+    pub fn speeds_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.contexts.len(), "one speed per CPU");
+        let present = |st: &ContextState| -> CtxLoad {
             if st.load.is_some() {
                 st.as_ctx_load()
             } else {
                 self.idle_ctx_load()
             }
         };
-        match cpus.as_slice() {
-            [only] => {
-                let s = self.model.speeds(self.contexts[only.0].as_ctx_load(), CtxLoad::Idle);
-                vec![(*only, s.a)]
-            }
-            [a, b] => {
-                let s = self.model.speeds(present(a), present(b));
-                let speed_a = if self.contexts[a.0].load.is_some() { s.a } else { 0.0 };
-                let speed_b = if self.contexts[b.0].load.is_some() { s.b } else { 0.0 };
-                vec![(*a, speed_a), (*b, speed_b)]
-            }
-            many => {
-                // Wide SMT core: ask the model for all contexts at once.
-                let loads: Vec<CtxLoad> = many.iter().map(present).collect();
-                let speeds = self.model.speeds_many(&loads);
-                many.iter()
-                    .zip(speeds)
-                    .map(|(cpu, s)| {
-                        (*cpu, if self.contexts[cpu.0].load.is_some() { s } else { 0.0 })
-                    })
-                    .collect()
+        let own = |st: &ContextState, s: f64| if st.load.is_some() { s } else { 0.0 };
+        let width = self.topology.threads_per_core();
+        for (ctxs, speeds) in self.contexts.chunks(width).zip(out.chunks_mut(width)) {
+            match ctxs {
+                [only] => speeds[0] = self.model.speeds(only.as_ctx_load(), CtxLoad::Idle).a,
+                [a, b] => {
+                    let s = self.model.speeds(present(a), present(b));
+                    speeds[0] = own(a, s.a);
+                    speeds[1] = own(b, s.b);
+                }
+                many => {
+                    // Wide SMT core: ask the model for all contexts at once.
+                    let loads: Vec<CtxLoad> = many.iter().map(present).collect();
+                    let model = self.model.speeds_many(&loads);
+                    for ((out, st), s) in speeds.iter_mut().zip(many).zip(model) {
+                        *out = own(st, s);
+                    }
+                }
             }
         }
-    }
-
-    /// Speed factor of one CPU right now.
-    pub fn speed_of(&self, cpu: CpuId) -> f64 {
-        let core = self.topology.core_of(cpu);
-        self.core_speeds(core)
-            .into_iter()
-            .find(|(c, _)| *c == cpu)
-            .map(|(_, s)| s)
-            .expect("cpu belongs to its core")
     }
 
     /// Speed factors of every CPU, indexed by CPU id.
     pub fn all_speeds(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.topology.num_cpus()];
-        for core in self.topology.cores() {
-            for (cpu, s) in self.core_speeds(core) {
-                out[cpu.0] = s;
-            }
-        }
+        let mut out = vec![0.0; self.contexts.len()];
+        self.speeds_into(&mut out);
         out
+    }
+
+    /// Current speed factors of the contexts of `core`, in context order.
+    pub fn core_speeds(&self, core: CoreId) -> Vec<(CpuId, f64)> {
+        let speeds = self.all_speeds();
+        self.topology.cpus_of_core(core).into_iter().map(|cpu| (cpu, speeds[cpu.0])).collect()
+    }
+
+    /// Speed factor of one CPU right now.
+    pub fn speed_of(&self, cpu: CpuId) -> f64 {
+        self.all_speeds()[cpu.0]
     }
 
     /// The context slot of `cpu` (exposed for diagnostics).

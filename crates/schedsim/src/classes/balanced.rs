@@ -38,6 +38,9 @@ pub struct BalancedClass {
     policy: HpcPolicyKind,
     slice: SimDuration,
     rqs: Vec<VecDeque<TaskId>>,
+    /// HPC tasks per CPU (queued plus the running one), refreshed in place
+    /// for every balancing pass.
+    counts: Vec<usize>,
     balancer: Box<dyn Balancer>,
     /// Priority changes applied so far (diagnostics / Figure annotations).
     prio_changes: u64,
@@ -45,7 +48,14 @@ pub struct BalancedClass {
 
 impl BalancedClass {
     pub fn new(policy: HpcPolicyKind, slice: SimDuration, balancer: Box<dyn Balancer>) -> Self {
-        BalancedClass { policy, slice, rqs: Vec::new(), balancer, prio_changes: 0 }
+        BalancedClass {
+            policy,
+            slice,
+            rqs: Vec::new(),
+            counts: Vec::new(),
+            balancer,
+            prio_changes: 0,
+        }
     }
 
     /// Register the balancer's decision counters in `registry`.
@@ -62,17 +72,15 @@ impl BalancedClass {
         self.prio_changes
     }
 
-    /// HPC tasks per CPU: queued plus the running one, needed by the
-    /// domain balancer.
-    fn hpc_counts(&self, ctx: &ClassCtx<'_>) -> Vec<usize> {
-        (0..self.rqs.len())
-            .map(|cpu| {
-                let running_hpc = ctx.running[cpu]
-                    .map(|t| ctx.tasks[t.0].policy == SchedPolicy::Hpc)
-                    .unwrap_or(false);
-                self.rqs[cpu].len() + usize::from(running_hpc)
-            })
-            .collect()
+    /// Refresh the HPC tasks per CPU (queued plus the running one) the
+    /// domain balancer needs.
+    fn refresh_counts(&mut self, ctx: &ClassCtx<'_>) {
+        for (cpu, count) in self.counts.iter_mut().enumerate() {
+            let running_hpc = ctx.running[cpu]
+                .map(|t| ctx.tasks[t.0].policy == SchedPolicy::Hpc)
+                .unwrap_or(false);
+            *count = self.rqs[cpu].len() + usize::from(running_hpc);
+        }
     }
 
     /// Apply the balancer's assignments, counting actual changes.
@@ -97,6 +105,7 @@ impl SchedClass for BalancedClass {
 
     fn init_cpus(&mut self, num_cpus: usize) {
         self.rqs = (0..num_cpus).map(|_| VecDeque::new()).collect();
+        self.counts = vec![0; num_cpus];
         self.balancer.init(num_cpus);
     }
 
@@ -180,8 +189,8 @@ impl SchedClass for BalancedClass {
     }
 
     fn load_balance(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, idle: bool) -> Vec<Migration> {
-        let counts = self.hpc_counts(ctx);
-        let view = BalanceView { topology: ctx.topology, counts: &counts, queued: &self.rqs };
+        self.refresh_counts(ctx);
+        let view = BalanceView { topology: ctx.topology, counts: &self.counts, queued: &self.rqs };
         let plan =
             self.balancer.plan_migrations(&view, cpu, idle, &|t, c| ctx.tasks[t.0].allowed_on(c));
         plan.into_iter().collect()
@@ -229,7 +238,7 @@ mod tests {
     }
 
     fn ctx<'a>(tasks: &'a mut Vec<Task>, topo: &'a Topology) -> ClassCtx<'a> {
-        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: vec![None; 4] }
+        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: &[None; 4] }
     }
 
     fn ms(v: u64) -> SimDuration {
@@ -396,7 +405,7 @@ mod tests {
         let mut c = mk_class(HpcPolicyKind::Rr);
         // CPU 2 runs an HPC task and has one queued; CPU 0 idle.
         let mut cx = ctx(&mut tasks, &topo);
-        cx.running[2] = Some(TaskId(0));
+        cx.running = &[None, None, Some(TaskId(0)), None];
         c.enqueue(&mut cx, CpuId(2), TaskId(1), EnqueueKind::New);
         let migs = c.load_balance(&mut cx, CpuId(0), true);
         assert_eq!(migs.len(), 1, "2 tasks on core1 vs 0 on core0");

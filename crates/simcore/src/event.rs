@@ -5,25 +5,44 @@
 //!
 //! 1. **Determinism** — events scheduled for the same timestamp pop in the
 //!    order they were scheduled (FIFO tie-break via a sequence counter), so a
-//!    simulation never depends on binary-heap internals.
+//!    simulation never depends on heap internals.
 //! 2. **Cancellation** — timers (scheduler ticks, RR time slices, message
-//!    deliveries) are frequently re-armed; [`EventQueue::cancel`] is O(1)
-//!    amortized (lazy deletion: cancelled entries are skipped at pop time,
-//!    and the heap is compacted whenever cancelled entries outnumber live
-//!    ones, so a cancel/re-arm loop cannot grow the backlog without bound).
+//!    deliveries) are frequently re-armed. The queue is an *indexed* binary
+//!    min-heap over a slot table: every pending event owns a slot that
+//!    records its heap position, so [`EventQueue::cancel`] removes the entry
+//!    in place in O(log n). Nothing dead ever sits in the heap.
+//!
+//! An [`EventId`] packs `(slot, generation)`. Popping or cancelling an event
+//! frees its slot and bumps the slot's generation, so a stale id — already
+//! fired, already cancelled, or pointing at a slot since reused by a later
+//! event — no longer matches and `cancel` reports `false` after one
+//! comparison. Freed slots are reused, so memory is bounded by the peak
+//! number of simultaneously pending events, however long a cancel/re-arm
+//! loop runs.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Handle to a scheduled event, usable for cancellation: a slot index in
+/// the low 32 bits and that slot's generation in the high 32 bits.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventId(u64);
 
 impl EventId {
     /// A handle that never corresponds to a live event. Useful as an
     /// initializer for "no timer armed" fields.
     pub const NONE: EventId = EventId(u64::MAX);
+
+    fn new(slot: u32, generation: u32) -> EventId {
+        EventId((u64::from(generation) << 32) | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
 }
 
 /// An event popped from the queue: when it fires and its payload.
@@ -36,29 +55,26 @@ pub struct ScheduledEvent<E> {
 
 struct Entry<E> {
     time: SimTime,
+    /// Scheduling order; unique, so `(time, seq)` is a total order.
     seq: u64,
+    slot: u32,
     payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<E> Entry<E> {
+    fn before(&self, other: &Entry<E>) -> bool {
+        (self.time, self.seq) < (other.time, other.seq)
     }
 }
 
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. `seq` is unique, giving a total order.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
+/// Heap position of a vacant slot.
+const VACANT: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct Slot {
+    generation: u32,
+    /// Index of the slot's entry in the heap, or [`VACANT`].
+    pos: u32,
 }
 
 /// Telemetry handles for one event queue. All counters are optional-free:
@@ -82,22 +98,13 @@ impl EventQueueCounters {
     }
 }
 
-/// Future-event list with lazy cancellation.
+/// Future-event list: an indexed binary min-heap on `(time, seq)`.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: Vec<Entry<E>>,
+    slots: Vec<Slot>,
+    /// Vacant slots, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
-    /// Every cancelled sequence number, ever. Entries stay here after the
-    /// heap drops them (skim or compaction) so a second `cancel` of the
-    /// same id always reports `false`.
-    cancelled: std::collections::BTreeSet<u64>,
-    /// Cancelled entries still physically in the heap — the quantity the
-    /// compaction trigger compares against the heap length.
-    dead_in_heap: usize,
-    /// Sequence numbers that already fired; cancelling one is a no-op and
-    /// must report `false`, which a heap alone cannot tell apart from a
-    /// pending id without scanning.
-    fired: std::collections::BTreeSet<u64>,
-    live: usize,
     last_popped: SimTime,
     counters: Option<EventQueueCounters>,
 }
@@ -111,12 +118,10 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
-            cancelled: std::collections::BTreeSet::new(),
-            dead_in_heap: 0,
-            fired: std::collections::BTreeSet::new(),
-            live: 0,
             last_popped: SimTime::ZERO,
             counters: None,
         }
@@ -128,13 +133,19 @@ impl<E> EventQueue<E> {
         self.counters = Some(counters);
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
+    }
+
+    /// Size of the slot table: the peak number of simultaneously pending
+    /// events so far. Diagnostic/test use.
+    pub fn slot_capacity(&self) -> usize {
+        self.slots.len()
     }
 
     /// Schedule `payload` to fire at absolute time `time`.
@@ -148,161 +159,221 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {time:?} < {:?}",
             self.last_popped
         );
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != VACANT)
+                    .expect("more than u32::MAX - 1 pending events");
+                self.slots.push(Slot { generation: 0, pos: VACANT });
+                slot
+            }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
-        self.live += 1;
+        let pos = self.heap.len();
+        self.heap.push(Entry { time, seq, slot, payload });
+        self.sift_up(pos);
         if let Some(c) = &self.counters {
             c.scheduled.inc();
         }
-        EventId(seq)
+        EventId::new(slot, self.slots[slot as usize].generation)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (i.e. this call prevented it from firing).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id == EventId::NONE || id.0 >= self.next_seq {
+        if !self.is_pending(id) {
             return false;
         }
-        if self.cancelled.contains(&id.0) || self.fired.contains(&id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        self.dead_in_heap += 1;
-        self.live = self.live.saturating_sub(1);
+        let pos = self.slots[id.slot()].pos as usize;
+        let entry = self.remove_at(pos);
+        self.release(entry.slot);
         if let Some(c) = &self.counters {
             c.cancelled.inc();
         }
-        self.maybe_compact();
         true
     }
 
-    /// Physical heap length including not-yet-skimmed cancelled entries —
-    /// the quantity compaction bounds. Diagnostic/test use.
-    pub fn backlog(&self) -> usize {
-        self.heap.len()
+    /// True while `id` is scheduled and has neither fired nor been
+    /// cancelled.
+    pub fn is_pending(&self, id: EventId) -> bool {
+        self.slots
+            .get(id.slot())
+            .is_some_and(|s| s.pos != VACANT && s.generation == id.generation())
     }
 
-    /// Rebuild the heap without its cancelled entries once they outnumber
-    /// the live ones. Rebuilding is O(n); the 50% trigger plus the size
-    /// floor amortizes it to O(1) per cancel and keeps the backlog under
-    /// `2 × live + COMPACT_MIN` however long a cancel/re-arm loop runs.
-    /// Pop order is unaffected: entries keep their `(time, seq)` keys, which
-    /// form a total order independent of heap internals.
-    fn maybe_compact(&mut self) {
-        const COMPACT_MIN: usize = 64;
-        if self.heap.len() < COMPACT_MIN || self.dead_in_heap * 2 <= self.heap.len() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let kept: Vec<Entry<E>> =
-            entries.into_iter().filter(|e| !self.cancelled.contains(&e.seq)).collect();
-        self.heap = BinaryHeap::from(kept);
-        self.dead_in_heap = 0;
+    /// Timestamp of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|e| e.time)
     }
 
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim();
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pop the next live event.
+    /// Pop the next pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.skim();
-        let entry = self.heap.pop()?;
-        self.live -= 1;
+        if self.heap.is_empty() {
+            return None;
+        }
+        let entry = self.remove_at(0);
+        let id = EventId::new(entry.slot, self.slots[entry.slot as usize].generation);
+        self.release(entry.slot);
         self.last_popped = entry.time;
-        self.fired.insert(entry.seq);
         if let Some(c) = &self.counters {
             c.processed.inc();
         }
-        Some(ScheduledEvent { time: entry.time, id: EventId(entry.seq), payload: entry.payload })
+        Some(ScheduledEvent { time: entry.time, id, payload: entry.payload })
     }
 
-    /// Discard cancelled entries sitting at the top of the heap. The seqs
-    /// stay in `cancelled` so a later `cancel` of the same id is still a
-    /// reported no-op.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.seq) {
-                self.heap.pop();
-                self.dead_in_heap = self.dead_in_heap.saturating_sub(1);
-            } else {
-                break;
-            }
+    /// Drop all pending events; their ids become stale.
+    pub fn clear(&mut self) {
+        for pos in 0..self.heap.len() {
+            self.release(self.heap[pos].slot);
+        }
+        self.heap.clear();
+    }
+
+    /// Vacate `slot` and bump its generation so every id issued for it
+    /// goes stale. A slot whose generation would wrap is retired instead of
+    /// reused, so a stale id can never alias a later event.
+    fn release(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.pos = VACANT;
+        if let Some(generation) = s.generation.checked_add(1) {
+            s.generation = generation;
+            self.free.push(slot);
         }
     }
 
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-        self.dead_in_heap = 0;
-        self.live = 0;
+    /// Remove and return the entry at heap position `pos`, restoring the
+    /// heap property around the entry moved into its place.
+    fn remove_at(&mut self, pos: usize) -> Entry<E> {
+        let entry = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            self.sift_down(pos);
+            self.sift_up(pos);
+        }
+        entry
     }
-}
 
-impl<E> EventQueue<E> {
-    /// Test/diagnostic helper: true if `id` has already fired.
-    pub fn has_fired(&self, id: EventId) -> bool {
-        self.fired.contains(&id.0)
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.heap[pos].before(&self.heap[parent]) {
+                break;
+            }
+            self.heap.swap(pos, parent);
+            self.place(pos);
+            pos = parent;
+        }
+        self.place(pos);
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child =
+                if right < n && self.heap[right].before(&self.heap[left]) { right } else { left };
+            if !self.heap[child].before(&self.heap[pos]) {
+                break;
+            }
+            self.heap.swap(pos, child);
+            self.place(pos);
+            pos = child;
+        }
+        self.place(pos);
+    }
+
+    /// Record in its slot that the entry at `pos` lives there.
+    fn place(&mut self, pos: usize) {
+        self.slots[self.heap[pos].slot as usize].pos = pos as u32;
     }
 }
 
 impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     /// Byte-stable encoding of the queue's logical state. Heap layout is
-    /// an implementation detail, so live entries are emitted sorted by
-    /// their `(time, seq)` total order — equal queues always produce
-    /// equal bytes, whatever schedule/cancel history built them. The
-    /// `cancelled` and `fired` sets ride along so post-restore `cancel`
-    /// calls keep their exact semantics (double-cancel and
-    /// cancel-after-fire still report `false`).
+    /// an implementation detail, so pending entries are emitted sorted by
+    /// their `(time, seq)` total order, each with its slot. The slot
+    /// generations and the free-slot order ride along, so ids issued before
+    /// the snapshot keep their exact `cancel` semantics after a restore and
+    /// the restored queue issues the same ids as the original.
     pub fn snapshot(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let mut entries: Vec<&Entry<E>> =
-            self.heap.iter().filter(|e| !self.cancelled.contains(&e.seq)).collect();
+        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
         entries.sort_by_key(|e| (e.time, e.seq));
         w.put_len(entries.len());
         for e in entries {
             w.put(&e.time);
             w.put_u64(e.seq);
+            w.put_u32(e.slot);
             w.put(&e.payload);
         }
         w.put_u64(self.next_seq);
-        w.put(&self.cancelled);
-        w.put(&self.fired);
+        w.put(&self.slots.iter().map(|s| s.generation).collect::<Vec<u32>>());
+        w.put(&self.free);
         w.put(&self.last_popped);
     }
 
     /// Rebuild a queue from [`EventQueue::snapshot`] bytes. Counters are
     /// not restored (attach fresh ones if wanted); pop order and
     /// cancellation semantics are exactly those of the snapshotted queue.
+    /// Inconsistent slot bookkeeping is a typed error, never a panic.
     pub fn restore(
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<EventQueue<E>, crate::snapshot::SnapshotError> {
+        use crate::snapshot::SnapshotError::Malformed;
         let n = r.get_len()?;
-        let mut heap = BinaryHeap::new();
+        let mut entries = Vec::new();
         for _ in 0..n {
             let time: SimTime = r.get()?;
             let seq = r.get_u64()?;
+            let slot = r.get_u32()?;
             let payload: E = r.get()?;
-            heap.push(Entry { time, seq, payload });
+            entries.push(Entry { time, seq, slot, payload });
         }
         let next_seq = r.get_u64()?;
-        let cancelled: std::collections::BTreeSet<u64> = r.get()?;
-        let fired: std::collections::BTreeSet<u64> = r.get()?;
+        let generations: Vec<u32> = r.get()?;
+        let free: Vec<u32> = r.get()?;
         let last_popped: SimTime = r.get()?;
-        Ok(EventQueue {
-            live: heap.len(),
-            heap,
+
+        if generations.len() >= VACANT as usize {
+            return Err(Malformed("event queue slot table too large"));
+        }
+        // Every slot is pending at most once or free at most once, never both.
+        let mut claimed = vec![false; generations.len()];
+        let mut claim = |slot: u32| match claimed.get_mut(slot as usize) {
+            Some(taken) if !*taken => {
+                *taken = true;
+                Ok(())
+            }
+            Some(_) => Err(Malformed("event slot listed twice")),
+            None => Err(Malformed("event slot out of range")),
+        };
+        for e in &entries {
+            if e.seq >= next_seq {
+                return Err(Malformed("event seq not below next_seq"));
+            }
+            claim(e.slot)?;
+        }
+        for &slot in &free {
+            claim(slot)?;
+        }
+        let slots = generations.into_iter().map(|generation| Slot { generation, pos: VACANT });
+        let mut queue = EventQueue {
+            heap: entries,
+            slots: slots.collect(),
+            free,
             next_seq,
-            cancelled,
-            // Snapshots hold live entries only; nothing dead to compact.
-            dead_in_heap: 0,
-            fired,
             last_popped,
             counters: None,
-        })
+        };
+        for pos in 0..queue.heap.len() {
+            queue.sift_up(pos);
+        }
+        Ok(queue)
     }
 }
 
@@ -354,15 +425,32 @@ mod tests {
         assert!(!q.cancel(a));
 
         let b = q.schedule(t(20), "b");
+        assert!(q.is_pending(b));
         assert_eq!(q.pop().unwrap().payload, "b");
         assert!(!q.cancel(b));
-        assert!(q.has_fired(b));
+        assert!(!q.is_pending(b));
+    }
+
+    #[test]
+    fn stale_id_does_not_cancel_the_slots_next_event() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(10), "a");
+        assert!(q.cancel(a));
+        // The freed slot is reused at a new generation.
+        let b = q.schedule(t(20), "b");
+        assert_ne!(a, b);
+        assert!(!q.cancel(a), "stale id must not hit the reused slot");
+        assert!(q.is_pending(b));
+        assert_eq!(q.pop().unwrap().id, b);
     }
 
     #[test]
     fn cancel_none_is_noop() {
         let mut q = EventQueue::<()>::new();
         assert!(!q.cancel(EventId::NONE));
+        q.schedule(t(1), ());
+        assert!(!q.cancel(EventId::NONE));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -390,34 +478,32 @@ mod tests {
     #[test]
     fn clear_empties_queue() {
         let mut q = EventQueue::new();
-        q.schedule(t(1), 1);
+        let a = q.schedule(t(1), 1);
         q.schedule(t(2), 2);
         q.clear();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
+        assert!(!q.cancel(a));
     }
 
     #[test]
-    fn cancel_rearm_loop_keeps_backlog_bounded() {
+    fn cancel_rearm_loop_keeps_slot_table_bounded() {
         // A timer wheel pattern: every iteration cancels the armed timer
-        // and re-arms it later. Lazy deletion alone would grow the heap by
-        // one dead entry per iteration; compaction must keep it bounded.
+        // and re-arms it later. The freed slot is reused each time.
         let mut q = EventQueue::new();
         let mut armed = q.schedule(t(10), 0u32);
-        let mut peak = 0;
         for i in 0..10_000u64 {
             assert!(q.cancel(armed));
             armed = q.schedule(t(10 + i), 1);
-            peak = peak.max(q.backlog());
         }
         assert_eq!(q.len(), 1, "exactly one live timer");
-        assert!(peak <= 130, "backlog must stay bounded, peaked at {peak}");
+        assert_eq!(q.slot_capacity(), 1, "the slot table never grows past peak live");
         assert_eq!(q.pop().unwrap().payload, 1, "the live timer still fires");
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn compaction_preserves_pop_order_and_cancel_semantics() {
+    fn cancellation_preserves_pop_order_and_cancel_semantics() {
         let mut q = EventQueue::new();
         let mut keep = Vec::new();
         let mut dead = Vec::new();
@@ -432,13 +518,27 @@ mod tests {
         for id in &dead {
             assert!(q.cancel(*id));
         }
-        assert!(q.backlog() <= 100, "cancelled majority must have been compacted away");
+        assert_eq!(q.len(), 50, "cancelled entries leave the heap at once");
         for id in dead {
-            assert!(!q.cancel(id), "compacted entries still report already-cancelled");
+            assert!(!q.cancel(id), "cancelled ids stay cancelled");
         }
         keep.sort();
         let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(popped, keep.iter().map(|&(_, i)| i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn exhausted_slot_is_retired_not_reused() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), 0u8);
+        q.slots[0].generation = u32::MAX;
+        let a_max = EventId::new(0, u32::MAX);
+        assert!(q.cancel(a_max));
+        assert!(!q.cancel(a));
+        let b = q.schedule(t(2), 1);
+        assert_eq!(b.slot(), 1, "slot 0 cannot take another generation");
+        assert!(!q.cancel(a_max), "the retired slot stays vacant");
+        assert!(q.cancel(b));
     }
 
     #[test]
@@ -457,6 +557,13 @@ mod tests {
         w.finish()
     }
 
+    fn restore_bytes(bytes: &[u8]) -> Result<EventQueue<u64>, crate::snapshot::SnapshotError> {
+        let mut r = crate::snapshot::SnapshotReader::new(bytes)?;
+        let q = EventQueue::restore(&mut r)?;
+        r.finish()?;
+        Ok(q)
+    }
+
     #[test]
     fn snapshot_round_trips_pop_order_and_cancel_semantics() {
         let mut q = EventQueue::new();
@@ -465,35 +572,36 @@ mod tests {
             ids.push(q.schedule(t(1000 - i), i));
         }
         // A popped event, a cancelled one, and plenty pending.
-        q.schedule(t(1), 999);
+        let fired = q.schedule(t(1), 999);
         assert_eq!(q.pop().unwrap().payload, 999);
         let dead = ids[7];
         assert!(q.cancel(dead));
 
-        let bytes = snap_bytes(&q);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes).unwrap();
-        let mut back: EventQueue<u64> = EventQueue::restore(&mut r).unwrap();
-        r.finish().unwrap();
+        let mut back = restore_bytes(&snap_bytes(&q)).unwrap();
 
         assert_eq!(back.len(), q.len());
         // Restored cancel semantics: re-cancelling the dead id and the
         // fired id still report false; a live id still cancels.
         assert!(!back.cancel(dead));
+        assert!(!back.cancel(fired));
         let live = ids[3];
         assert!(back.cancel(live));
         assert!(q.cancel(live));
+        // Both queues hand out the same id next.
+        assert_eq!(back.schedule(t(2000), 7), q.schedule(t(2000), 7));
 
-        let a: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.payload))).collect();
-        let b: Vec<_> = std::iter::from_fn(|| back.pop().map(|e| (e.time, e.payload))).collect();
+        let a: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.id, e.payload))).collect();
+        let b: Vec<_> =
+            std::iter::from_fn(|| back.pop().map(|e| (e.time, e.id, e.payload))).collect();
         assert_eq!(a, b, "pop order survives the round trip");
     }
 
     #[test]
     fn equal_queues_produce_equal_snapshot_bytes() {
         // Same logical state via different histories: one queue schedules
-        // in ascending order, the other descending with an extra
-        // cancel/re-arm — entries are emitted in (time, seq)-sorted order
-        // so only the *live set* and bookkeeping sets matter.
+        // in ascending order, the other descending — entries are emitted
+        // in (time, seq)-sorted order, so only the live set, its seqs and
+        // slots, and the slot bookkeeping matter.
         let mut a = EventQueue::new();
         for i in 0..10u64 {
             a.schedule(t(10 + i), i);
@@ -509,8 +617,40 @@ mod tests {
 
         // And a restore of a restores bytes exactly.
         let bytes = snap_bytes(&a);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes).unwrap();
-        let back: EventQueue<u64> = EventQueue::restore(&mut r).unwrap();
+        let back = restore_bytes(&bytes).unwrap();
         assert_eq!(snap_bytes(&back), bytes, "snapshot∘restore is the identity on bytes");
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_slots() {
+        use crate::snapshot::{SnapshotError, SnapshotWriter};
+        // One pending entry at slot `slot`, a table of `gens` slots, and
+        // the given free list.
+        let encode = |slot: u32, gens: usize, free: Vec<u32>, seq: u64| {
+            let mut w = SnapshotWriter::new();
+            w.put_len(1);
+            w.put(&t(1));
+            w.put_u64(seq);
+            w.put_u32(slot);
+            w.put_u64(5);
+            w.put_u64(1);
+            w.put(&vec![0u32; gens]);
+            w.put(&free);
+            w.put(&SimTime::ZERO);
+            w.finish()
+        };
+        assert!(restore_bytes(&encode(0, 2, vec![1], 0)).is_ok());
+        for (bytes, what) in [
+            (encode(3, 2, vec![], 0), "slot out of range"),
+            (encode(0, 2, vec![0], 0), "pending slot on the free list"),
+            (encode(0, 2, vec![1, 1], 0), "free slot listed twice"),
+            (encode(0, 2, vec![7], 0), "free slot out of range"),
+            (encode(0, 2, vec![], 1), "seq not below next_seq"),
+        ] {
+            assert!(
+                matches!(restore_bytes(&bytes), Err(SnapshotError::Malformed(_))),
+                "{what} must be a typed error"
+            );
+        }
     }
 }

@@ -1,7 +1,33 @@
 //! Property tests for the discrete-event core.
 
 use proptest::prelude::*;
-use simcore::{EventQueue, OnlineStats, SimDuration, SimTime};
+use simcore::{EventId, EventQueue, OnlineStats, SimDuration, SimTime};
+
+/// Reference model of the event queue: pending events in a plain `Vec`,
+/// the next one found by a linear scan for the least `(time, seq)`.
+#[derive(Default)]
+struct ModelQueue {
+    pending: Vec<(SimTime, u64, EventId)>,
+    next_seq: u64,
+}
+
+impl ModelQueue {
+    fn schedule(&mut self, time: SimTime, id: EventId) {
+        self.pending.push((time, self.next_seq, id));
+        self.next_seq += 1;
+    }
+
+    fn cancel(&mut self, id: EventId) -> bool {
+        let Some(i) = self.pending.iter().position(|e| e.2 == id) else { return false };
+        self.pending.remove(i);
+        true
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, EventId)> {
+        let i = (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))?;
+        Some(self.pending.remove(i))
+    }
+}
 
 proptest! {
     /// Events pop in (time, insertion-order) order regardless of insertion
@@ -49,6 +75,57 @@ proptest! {
         popped.sort_unstable();
         expected.sort_unstable();
         prop_assert_eq!(popped, expected);
+    }
+
+    /// Differential test against [`ModelQueue`]: random schedule, cancel
+    /// and pop sequences agree on pop order (FIFO ties included), every
+    /// `cancel` result and `len()`. Cancels draw from every id ever issued,
+    /// so they re-cancel ids that already fired or were cancelled and whose
+    /// slots have since been reused by later events. The slot table never
+    /// outgrows the peak number of pending events.
+    #[test]
+    fn queue_matches_reference_model(
+        ops in proptest::collection::vec((0u8..10, 0u64..8, 0usize..1_000), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = ModelQueue::default();
+        let mut issued: Vec<EventId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut peak = 0;
+        for (op, dt, pick) in ops {
+            match op {
+                // Schedule; small offsets make same-time ties common.
+                0..=3 => {
+                    let time = SimTime(now.as_nanos() + dt);
+                    let id = q.schedule(time, model.next_seq);
+                    prop_assert!(!issued.contains(&id), "ids are never reissued");
+                    model.schedule(time, id);
+                    issued.push(id);
+                }
+                // Cancel any id ever issued: pending, fired, cancelled or
+                // stale over a reused slot.
+                4..=6 if !issued.is_empty() => {
+                    let id = issued[pick % issued.len()];
+                    prop_assert_eq!(q.is_pending(id), model.pending.iter().any(|e| e.2 == id));
+                    prop_assert_eq!(q.cancel(id), model.cancel(id), "cancel result");
+                }
+                _ => {
+                    let got = q.pop().map(|e| (e.time, e.payload, e.id));
+                    prop_assert_eq!(got, model.pop(), "pop order");
+                    if let Some((time, _, _)) = got {
+                        now = time;
+                    }
+                }
+            }
+            peak = peak.max(model.pending.len());
+            prop_assert_eq!(q.len(), model.pending.len());
+            let slots = q.slot_capacity();
+            prop_assert!(slots <= peak, "slot table {slots} > peak live {peak}");
+        }
+        while let Some(e) = q.pop() {
+            prop_assert_eq!(Some((e.time, e.payload, e.id)), model.pop(), "drain order");
+        }
+        prop_assert!(model.pending.is_empty());
     }
 
     /// Welford statistics agree with the naive two-pass computation.

@@ -160,15 +160,16 @@ impl HistogramHandle {
     pub fn stats(&self) -> HistogramStats {
         let c = &self.core;
         let count = c.count.load(Ordering::Relaxed);
-        let buckets: Vec<(u64, u64)> = c
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_upper_bound(i), n))
-            })
-            .collect();
+        // Sized once for every bucket: a collect() would grow by doubling,
+        // making the allocation count depend on how many buckets the
+        // (possibly host-timed) samples happen to occupy.
+        let mut buckets = Vec::with_capacity(c.buckets.len());
+        for (i, b) in c.buckets.iter().enumerate() {
+            let n = b.load(Ordering::Relaxed);
+            if n > 0 {
+                buckets.push((bucket_upper_bound(i), n));
+            }
+        }
         HistogramStats {
             count,
             sum: c.sum.load(Ordering::Relaxed),
@@ -460,6 +461,20 @@ mod tests {
             stats.buckets,
             vec![(0, 1), (1, 1), (3, 2), (7, 1), (1023, 1), (2047, 1)]
         );
+    }
+
+    #[test]
+    fn stats_buckets_are_sized_once_whatever_the_occupancy() {
+        // One allocation of a fixed size per call, so allocation counts
+        // do not depend on how many buckets the samples occupy.
+        let h = HistogramHandle::default();
+        assert_eq!(h.stats().buckets.capacity(), HISTOGRAM_BUCKETS);
+        for v in 0..40 {
+            h.record(1u64 << v);
+        }
+        let stats = h.stats();
+        assert_eq!(stats.buckets.len(), 40);
+        assert_eq!(stats.buckets.capacity(), HISTOGRAM_BUCKETS);
     }
 
     #[test]
