@@ -64,27 +64,25 @@ fn bench_event_queue(c: &mut Criterion) {
         })
     });
     // The kernel's own pattern on the 4-CPU OpenPower 710: every popped
-    // tick re-arms itself, then each CPU's completion timer is cancelled
-    // and re-armed (4096 pops per iteration).
+    // tick re-arms its timer slot, then each CPU's completion slot is
+    // re-armed (a cancel plus a schedule; 4096 pops per iteration).
     g.bench_function("rearm_4cpu", |b| {
         const TICK: u64 = 1_000_000;
         b.iter(|| {
-            let mut q = EventQueue::new();
-            for cpu in 0..4u64 {
-                q.schedule(simcore::SimTime(TICK + cpu), cpu);
+            let mut q = EventQueue::<()>::with_timers(8);
+            for cpu in 0..4 {
+                q.arm(cpu, simcore::SimTime(TICK + cpu as u64));
             }
-            let mut workdone = [simcore::EventId::NONE; 4];
             for _ in 0..4096 {
-                let Some(tick) = q.pop() else { break };
-                let now = tick.time.as_nanos();
-                q.schedule(simcore::SimTime(now + TICK), tick.payload);
-                for (cpu, ev) in workdone.iter_mut().enumerate() {
-                    q.cancel(*ev);
+                let Some(simcore::Due::Timer { time, timer }) = q.pop_due() else { break };
+                let now = time.as_nanos();
+                q.arm(timer, simcore::SimTime(now + TICK));
+                for cpu in 0..4 {
                     // Completions land beyond the next tick, so every pop
                     // is a tick.
-                    *ev = q.schedule(simcore::SimTime(now + 2 * TICK + cpu as u64 * 7_919), 4);
+                    q.arm(4 + cpu, simcore::SimTime(now + 2 * TICK + cpu as u64 * 7_919));
                 }
-                black_box(tick.payload);
+                black_box(timer);
             }
         })
     });
@@ -113,6 +111,27 @@ fn bench_kernel_paths(c: &mut Criterion) {
             }
             k.run_for(SimDuration::from_millis(100));
             black_box(k.metrics().context_switches)
+        })
+    });
+
+    // The per-event path at its hottest: four endless CPU-bound tasks on
+    // the 4-CPU OpenPower 710, so nearly every event is a tick, and every
+    // event syncs, settles and refreshes all four CPUs (20,000 steps).
+    g.bench_function("tick_storm_4cpu", |b| {
+        b.iter(|| {
+            let mut k = KernelBuilder::new().build();
+            for i in 0..4 {
+                k.spawn(
+                    format!("t{i}"),
+                    SchedPolicy::Normal,
+                    Box::new(ScriptedProgram::compute_once(1e9)),
+                    SpawnOptions::default(),
+                );
+            }
+            for _ in 0..20_000 {
+                k.step();
+            }
+            black_box(k.metrics().ticks)
         })
     });
 

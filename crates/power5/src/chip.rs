@@ -64,6 +64,8 @@ pub struct Chip {
     model: Box<dyn PerfModel + Send + Sync>,
     prio_writes: u64,
     idle_mode: IdleMode,
+    /// Bumped by every change that can move a speed; see [`Chip::version`].
+    version: u64,
 }
 
 impl Chip {
@@ -87,12 +89,14 @@ impl Chip {
             model,
             prio_writes: 0,
             idle_mode: IdleMode::Spin,
+            version: 0,
         }
     }
 
     /// Change the idle-loop model (ablations).
     pub fn set_idle_mode(&mut self, mode: IdleMode) {
         self.idle_mode = mode;
+        self.version += 1;
     }
 
     pub fn idle_mode(&self) -> IdleMode {
@@ -132,6 +136,14 @@ impl Chip {
         self.prio_writes
     }
 
+    /// Speed-state version: changes whenever a load, priority or idle-mode
+    /// write may have moved a speed. Speeds are a pure function of that
+    /// state, so a caller holding [`Chip::speeds_into`] output from an
+    /// unchanged version can reuse it.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Issue an `or X,X,X` nop on `cpu` at the given privilege, requesting
     /// `prio`. Mirrors the real interface: the instruction executes on the
     /// context whose priority changes.
@@ -144,6 +156,7 @@ impl Chip {
         let effective = issue_or_nop(prio, level)?;
         self.contexts[cpu.0].priority = effective;
         self.prio_writes += 1;
+        self.version += 1;
         Ok(())
     }
 
@@ -152,16 +165,28 @@ impl Chip {
     pub fn set_priority_hypervisor(&mut self, cpu: CpuId, prio: HwPriority) {
         self.contexts[cpu.0].priority = prio;
         self.prio_writes += 1;
+        self.version += 1;
     }
 
     /// Dispatch a task (its perf traits) onto a context, or clear it.
+    /// Re-dispatching the load a context already carries is free: the
+    /// speed-state version does not move. Traits compare bit for bit, so
+    /// `-0.0` vs `0.0` or a NaN still count as a change.
     pub fn set_load(&mut self, cpu: CpuId, load: Option<TaskPerfTraits>) {
-        self.contexts[cpu.0].load = load;
+        let bits = |l: Option<TaskPerfTraits>| {
+            l.map(|t| (t.gain_sensitivity.to_bits(), t.loss_sensitivity.to_bits()))
+        };
+        let ctx = &mut self.contexts[cpu.0];
+        if bits(ctx.load) != bits(load) {
+            ctx.load = load;
+            self.version += 1;
+        }
     }
 
     /// Reset a context's priority to the boot default (Medium).
     pub fn reset_priority(&mut self, cpu: CpuId) {
         self.contexts[cpu.0].priority = HwPriority::MEDIUM;
+        self.version += 1;
     }
 
     /// Write the current speed factor of every CPU into `out`, indexed by

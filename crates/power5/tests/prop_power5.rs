@@ -2,7 +2,10 @@
 //! performance model.
 
 use power5::decode::{decode_share, SlotArbiter};
-use power5::{AnalyticModel, CtxLoad, HwPriority, PerfModel, TableModel, TaskPerfTraits};
+use power5::{
+    AnalyticModel, Chip, CpuId, CtxLoad, HwPriority, IdleMode, PerfModel, PrivilegeLevel,
+    TableModel, TaskPerfTraits, Topology,
+};
 use proptest::prelude::*;
 
 fn prio(v: u8) -> HwPriority {
@@ -11,6 +14,44 @@ fn prio(v: u8) -> HwPriority {
 
 fn busy(v: u8) -> CtxLoad {
     CtxLoad::Busy { prio: prio(v), traits: TaskPerfTraits::default() }
+}
+
+/// Drives `chip` through `ops` — `(kind, cpu, value)` triples decoded into
+/// `set_load`, `set_priority`, `set_priority_hypervisor`, `reset_priority`
+/// and `set_idle_mode` calls — keeping a speed memo that recomputes only
+/// when [`Chip::version`] moves. After every call the memo must equal a
+/// fresh `all_speeds()` bit for bit, and re-issuing an identical
+/// `set_load` must leave the version alone.
+fn check_speed_memo(mut chip: Chip, ops: &[(u8, usize, u8)]) {
+    let traits =
+        [TaskPerfTraits::default(), TaskPerfTraits::uniform(0.5), TaskPerfTraits::new(0.9, 0.2)];
+    let ncpus = chip.topology().num_cpus();
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+    let mut memo = (chip.version(), bits(chip.all_speeds()));
+    for &(kind, cpu, value) in ops {
+        let cpu = CpuId(cpu % ncpus);
+        match kind {
+            0..=2 => {
+                let load = (kind < 2).then(|| traits[value as usize % traits.len()]);
+                chip.set_load(cpu, load);
+                let version = chip.version();
+                chip.set_load(cpu, load);
+                prop_assert_eq!(chip.version(), version, "repeated identical set_load");
+            }
+            3 => {
+                // Out-of-range requests fail and must leave the state alone.
+                let prio = HwPriority::new(value % 8).unwrap();
+                let _ = chip.set_priority(cpu, prio, PrivilegeLevel::Supervisor);
+            }
+            4 => chip.set_priority_hypervisor(cpu, HwPriority::new(value % 8).unwrap()),
+            5 => chip.reset_priority(cpu),
+            _ => chip.set_idle_mode(if value % 2 == 0 { IdleMode::Spin } else { IdleMode::Snooze }),
+        }
+        if chip.version() != memo.0 {
+            memo = (chip.version(), bits(chip.all_speeds()));
+        }
+        prop_assert_eq!(&memo.1, &bits(chip.all_speeds()), "memoised speeds went stale");
+    }
 }
 
 proptest! {
@@ -108,5 +149,21 @@ proptest! {
         let p = prio(v);
         let reg = p.or_nop_register().expect("1..=7 all have encodings");
         prop_assert_eq!(HwPriority::from_or_nop_register(reg), Some(p));
+    }
+
+    /// The speed memo on the 2-way OpenPower 710 (pairwise table model).
+    #[test]
+    fn speed_memo_matches_fresh_speeds_table_model(
+        ops in proptest::collection::vec((0u8..7, 0usize..4, 0u8..8), 1..120),
+    ) {
+        check_speed_memo(Chip::new(Topology::openpower_710()), &ops);
+    }
+
+    /// The speed memo on a 4-way SMT core (analytic n-way model).
+    #[test]
+    fn speed_memo_matches_fresh_speeds_wide_smt(
+        ops in proptest::collection::vec((0u8..7, 0usize..4, 0u8..8), 1..120),
+    ) {
+        check_speed_memo(Chip::new(Topology::new(1, 1, 4)), &ops);
     }
 }

@@ -14,17 +14,15 @@ use crate::program::{Action, KernelApi, Program, TokenTable, WaitToken};
 use crate::task::{Task, TaskId, TaskState};
 use crate::trace::{TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
-use simcore::{EventId, EventQueue, EventQueueCounters, Histogram, SimDuration, SimRng, SimTime};
+use simcore::{Due, EventQueue, EventQueueCounters, Histogram, SimDuration, SimRng, SimTime};
 use std::time::Instant;
 use telemetry::{Counter, HistogramHandle, MetricsRegistry};
 
-/// Kernel events.
+/// Kernel events on the queue's heap. Each CPU's periodic tick and its
+/// running task's segment completion live in the queue's timer slots
+/// instead: see [`tick_timer`] and [`completion_timer`].
 #[derive(Clone, Copy, Debug)]
 enum KEvent {
-    /// Periodic scheduler tick on a CPU.
-    Tick(CpuId),
-    /// The running task on a CPU finished its current compute segment.
-    WorkDone(CpuId),
     /// A timed token signal fired (timer, message delivery).
     Signal(WaitToken),
     /// An injected fault fired (see [`crate::fault::FaultEvent`]).
@@ -42,9 +40,29 @@ struct CpuState {
     /// Kept separate from `switch_until` so dispatch (which overwrites the
     /// switch penalty) cannot shorten an in-flight burst.
     steal_until: SimTime,
-    workdone_ev: EventId,
     need_resched: bool,
     ticks: u64,
+}
+
+/// Every scheduling policy, for the kernel's policy → class index.
+const POLICIES: [SchedPolicy; 6] = [
+    SchedPolicy::Fifo,
+    SchedPolicy::Rr,
+    SchedPolicy::Hpc,
+    SchedPolicy::Normal,
+    SchedPolicy::Batch,
+    SchedPolicy::Idle,
+];
+
+/// Timer slot of `cpu`'s periodic scheduler tick. Each CPU owns two
+/// adjacent slots: its tick, then its completion timer.
+fn tick_timer(cpu: CpuId) -> usize {
+    2 * cpu.0
+}
+
+/// Timer slot of the completion of the segment running on `cpu`.
+fn completion_timer(cpu: CpuId) -> usize {
+    2 * cpu.0 + 1
 }
 
 impl CpuState {
@@ -54,7 +72,6 @@ impl CpuState {
             last_sync: SimTime::ZERO,
             switch_until: SimTime::ZERO,
             steal_until: SimTime::ZERO,
-            workdone_ev: EventId::NONE,
             need_resched: false,
             ticks: 0,
         }
@@ -137,13 +154,18 @@ pub struct Kernel {
     now: SimTime,
     tasks: Vec<Task>,
     classes: Vec<Box<dyn SchedClass>>,
+    /// Index into `classes` of the class handling each policy (indexed by
+    /// `SchedPolicy as usize`), refreshed whenever the class chain changes.
+    policy_class: [Option<usize>; POLICIES.len()],
     events: EventQueue<KEvent>,
     cpus: Vec<CpuState>,
     /// The task dispatched on each CPU, indexed by CPU id; lent to every
     /// class callback as [`ClassCtx::running`].
     running: Vec<Option<TaskId>>,
-    /// Scratch buffer for the chip's per-CPU speed factors.
+    /// The chip's per-CPU speed factors, as of chip version
+    /// `chip_speeds_version`.
     chip_speeds: Vec<f64>,
+    chip_speeds_version: Option<u64>,
     tokens: TokenTable,
     observers: Vec<Box<dyn Observer>>,
     rng: SimRng,
@@ -169,10 +191,10 @@ impl Kernel {
         }
         let registry = MetricsRegistry::new();
         let counters = KernelCounters::register(&registry, ncpus);
-        let mut events = EventQueue::new();
+        let mut events = EventQueue::with_timers(2 * ncpus);
         events.attach_counters(EventQueueCounters::register(&registry, "sim.events"));
         for cpu in 0..ncpus {
-            events.schedule(SimTime::ZERO + config.tick, KEvent::Tick(CpuId(cpu)));
+            events.arm(tick_timer(CpuId(cpu)), SimTime::ZERO + config.tick);
         }
         let rng = SimRng::seed_from_u64(config.seed);
         let mut kernel = Kernel {
@@ -180,11 +202,13 @@ impl Kernel {
             config,
             now: SimTime::ZERO,
             tasks: Vec::new(),
+            policy_class: [None; POLICIES.len()],
             classes,
             events,
             cpus: (0..ncpus).map(|_| CpuState::new()).collect(),
             running: vec![None; ncpus],
             chip_speeds: vec![0.0; ncpus],
+            chip_speeds_version: None,
             tokens: TokenTable::default(),
             observers: Vec::new(),
             rng,
@@ -193,7 +217,9 @@ impl Kernel {
             latency_us: Histogram::new(0.0, 20_000.0, 200),
             transition_guard: 0,
         };
+        kernel.index_policies();
         kernel.spawn_noise_daemons();
+        kernel.events.publish_counters();
         kernel
     }
 
@@ -209,6 +235,16 @@ impl Kernel {
         );
         class.init_cpus(self.cpus.len());
         self.classes.insert(1, class);
+        self.index_policies();
+    }
+
+    /// Recompute `policy_class`: the first class in chain order that
+    /// handles each policy.
+    fn index_policies(&mut self) {
+        for policy in POLICIES {
+            self.policy_class[policy as usize] =
+                self.classes.iter().position(|c| c.handles(policy));
+        }
     }
 
     /// Attach an observer to the kernel's unified event stream: every
@@ -319,6 +355,7 @@ impl Kernel {
         self.emit(id, TraceEvent::State { state: TaskState::Runnable, cpu: Some(cpu) });
         self.check_preempt(cpu, id);
         self.settle();
+        self.events.publish_counters();
         Ok(id)
     }
 
@@ -378,19 +415,32 @@ impl Kernel {
 
     /// Process one event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.events.pop() else { return false };
-        debug_assert!(ev.time >= self.now);
-        self.sync_to(ev.time);
-        match ev.payload {
-            KEvent::Tick(cpu) => self.handle_tick(cpu),
-            KEvent::WorkDone(cpu) => {
-                // Stale WorkDone events are cancelled on re-arm, so an event
-                // that fires is authoritative.
-                self.cpus[cpu.0].workdone_ev = EventId::NONE;
-                self.handle_workdone(cpu);
+        let more = self.advance();
+        self.events.publish_counters();
+        more
+    }
+
+    /// [`Kernel::step`] without publishing the event-queue counts: every
+    /// public entry point publishes them once before it returns, so the
+    /// `sim.events.*` counters are exact between calls while the run
+    /// loops touch the shared atomics once per run, not per event.
+    fn advance(&mut self) -> bool {
+        let Some(due) = self.events.pop_due() else { return false };
+        debug_assert!(due.time() >= self.now);
+        self.sync_to(due.time());
+        match due {
+            Due::Timer { timer, .. } => {
+                let cpu = CpuId(timer / 2);
+                if timer == tick_timer(cpu) {
+                    self.handle_tick(cpu);
+                } else {
+                    self.handle_workdone(cpu);
+                }
             }
-            KEvent::Signal(tok) => self.tokens.signal(tok),
-            KEvent::Fault(fault) => self.handle_fault(fault),
+            Due::Event(ev) => match ev.payload {
+                KEvent::Signal(tok) => self.tokens.signal(tok),
+                KEvent::Fault(fault) => self.handle_fault(fault),
+            },
         }
         self.settle();
         true
@@ -405,6 +455,7 @@ impl Kernel {
     /// plan must degrade the run, never crash the simulator.
     pub fn inject_fault(&mut self, at: SimTime, fault: FaultEvent) {
         self.events.schedule(at.max(self.now), KEvent::Fault(fault));
+        self.events.publish_counters();
     }
 
     fn handle_fault(&mut self, fault: FaultEvent) {
@@ -446,19 +497,21 @@ impl Kernel {
         deadline: SimDuration,
     ) -> Option<SimTime> {
         let deadline = self.now.saturating_add(deadline);
-        loop {
+        let end = loop {
             if until_exited.iter().all(|&t| self.tasks[t.0].state == TaskState::Exited) {
                 let end = until_exited
                     .iter()
                     .filter_map(|&t| self.tasks[t.0].exited_at)
                     .max()
                     .unwrap_or(self.now);
-                return Some(end);
+                break Some(end);
             }
-            if self.now >= deadline || !self.step() {
-                return None;
+            if self.now >= deadline || !self.advance() {
+                break None;
             }
-        }
+        };
+        self.events.publish_counters();
+        end
     }
 
     /// Run for a fixed span of simulated time.
@@ -467,7 +520,7 @@ impl Kernel {
         while self.now < end {
             match self.events.peek_time() {
                 Some(t) if t <= end => {
-                    self.step();
+                    self.advance();
                 }
                 _ => {
                     self.sync_to(end);
@@ -475,6 +528,7 @@ impl Kernel {
                 }
             }
         }
+        self.events.publish_counters();
     }
 
     // ------------------------------------------------------------------
@@ -521,8 +575,7 @@ impl Kernel {
         self.counters.ticks.inc();
         self.emit_metric(MetricEvent::Tick { cpu });
         self.cpus[cpu.0].ticks += 1;
-        let next = self.now + self.config.tick;
-        self.events.schedule(next, KEvent::Tick(cpu));
+        self.events.arm(tick_timer(cpu), self.now + self.config.tick);
 
         if let Some(tid) = self.running[cpu.0] {
             let class = self.class_of_policy(self.tasks[tid.0].policy);
@@ -544,8 +597,8 @@ impl Kernel {
         // Guard against float dust: the segment is done when the event
         // fires (sync_to already subtracted the work).
         if self.tasks[tid.0].remaining_work > 1e-12 {
-            // Speed changed since the event was armed and re-arm missed it;
-            // simply re-arm from current state.
+            // The completion instant was rounded to the nanosecond and a
+            // sliver of work is left; settle() re-arms from current state.
             self.cpus[cpu.0].need_resched = false;
             return;
         }
@@ -800,7 +853,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// Drain pending wakeups and reschedule requests until quiescent, then
-    /// refresh hardware state and re-arm completion events.
+    /// refresh hardware state and re-arm completion timers.
     fn settle(&mut self) {
         loop {
             let wakes = self.tokens.take_wakes();
@@ -907,7 +960,7 @@ impl Kernel {
     }
 
     /// Refresh chip load/priority registers from dispatch state, re-cache
-    /// speeds, and re-arm per-CPU work completion events.
+    /// speeds, and re-arm per-CPU completion timers.
     fn refresh_hw(&mut self) {
         for cpu in 0..self.cpus.len() {
             match self.running[cpu] {
@@ -936,7 +989,12 @@ impl Kernel {
                 }
             }
         }
-        self.chip.speeds_into(&mut self.chip_speeds);
+        // Speeds only move on a load, priority or idle-mode write.
+        let version = self.chip.version();
+        if self.chip_speeds_version != Some(version) {
+            self.chip.speeds_into(&mut self.chip_speeds);
+            self.chip_speeds_version = Some(version);
+        }
         for cpu in 0..self.cpus.len() {
             // Injected straggler drift composes with the chip model: the
             // cached speed is the chip speed scaled by the running task's
@@ -951,34 +1009,30 @@ impl Kernel {
     }
 
     fn rearm_workdone(&mut self, cpu: CpuId) {
-        let cs = &mut self.cpus[cpu.0];
-        let old = cs.workdone_ev;
-        cs.workdone_ev = EventId::NONE;
-        if old != EventId::NONE {
-            self.events.cancel(old);
-        }
-        let Some(tid) = self.running[cpu.0] else { return };
+        let timer = completion_timer(cpu);
+        let Some(tid) = self.running[cpu.0] else {
+            self.events.disarm(timer);
+            return;
+        };
         let remaining = self.tasks[tid.0].remaining_work;
         let speed = self.cpus[cpu.0].speed;
         if remaining <= 0.0 {
             // The segment completed during a sync driven by some other
-            // CPU's event (the old completion event may just have been
-            // cancelled above): fire completion immediately.
-            self.cpus[cpu.0].workdone_ev =
-                self.events.schedule(self.now, KEvent::WorkDone(cpu));
+            // CPU's event: fire completion immediately.
+            self.events.arm(timer, self.now);
             return;
         }
         if speed <= 0.0 {
             // Stalled (e.g. hardware priority 0 on the context): no event;
             // a later state change re-arms.
+            self.events.disarm(timer);
             return;
         }
         let start = self.now.max(self.cpus[cpu.0].switch_until).max(self.cpus[cpu.0].steal_until);
         let dur = SimDuration::from_secs_f64(remaining / speed);
         // Guarantee forward progress even when the duration rounds to zero.
         let dur = if dur.is_zero() { SimDuration::from_nanos(1) } else { dur };
-        let at = start + dur;
-        self.cpus[cpu.0].workdone_ev = self.events.schedule(at, KEvent::WorkDone(cpu));
+        self.events.arm(timer, start + dur);
     }
 
     // ------------------------------------------------------------------
@@ -1017,9 +1071,10 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn try_class_of_policy(&self, policy: SchedPolicy) -> Result<usize, SchedError> {
-        self.classes
-            .iter()
-            .position(|c| c.handles(policy))
+        self.policy_class
+            .get(policy as usize)
+            .copied()
+            .flatten()
             .ok_or(SchedError::NoClassForPolicy(policy))
     }
 
@@ -1544,5 +1599,135 @@ mod tests {
         let snap = k.metrics_registry().snapshot();
         assert_eq!(snap.counter("kernel.faults.steal_bursts"), 0);
         assert_eq!(snap.counter("kernel.faults.slowdowns"), 0);
+    }
+
+    /// Same-instant tie-break contract: events due at the same nanosecond
+    /// fire in the order they were last armed. Pins three collisions — a
+    /// fault injected between steps for a tick instant (once armed after
+    /// that tick, once before it), a fault at a work-completion instant,
+    /// and a timed signal landing on a tick boundary — as the trace and
+    /// metric stream at those instants.
+    #[test]
+    fn same_instant_events_fire_in_arming_order() {
+        use std::sync::{Arc, Mutex};
+        struct Log(Arc<Mutex<Vec<(u64, String)>>>);
+        impl crate::Observer for Log {
+            fn on_event(&mut self, event: &crate::KernelEvent) {
+                let line = match event {
+                    crate::KernelEvent::Trace(r) => (r.time, format!("{:?} {:?}", r.task, r.event)),
+                    crate::KernelEvent::Metric { time, event } => match event {
+                        // Host wall time is not part of the contract.
+                        MetricEvent::ClassPick { cpu, runnable, .. } => {
+                            (*time, format!("ClassPick {cpu:?} runnable={runnable}"))
+                        }
+                        other => (*time, format!("{other:?}")),
+                    },
+                };
+                self.0.lock().unwrap().push((line.0.as_nanos(), line.1));
+            }
+        }
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let run = |completion_fault: Option<SimTime>| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut k = kernel_1cpu();
+            k.observe(Box::new(Log(log.clone())));
+            let mut calls = 0;
+            let sleeper = k.spawn(
+                "sleeper",
+                SchedPolicy::Normal,
+                Box::new(FnProgram(move |api: &mut KernelApi<'_>| {
+                    calls += 1;
+                    match calls {
+                        1 => {
+                            // Armed at spawn, before the 3 ms tick is.
+                            let tok = api.new_token();
+                            api.signal_at(ms(3), tok);
+                            Action::Block(tok)
+                        }
+                        2 => Action::Compute(0.0005),
+                        _ => Action::Exit,
+                    }
+                })),
+                SpawnOptions::default(),
+            );
+            let worker = k.spawn(
+                "worker",
+                SchedPolicy::Normal,
+                Box::new(ScriptedProgram::compute_once(0.0123)),
+                SpawnOptions::default(),
+            );
+            if let Some(at) = completion_fault {
+                k.inject_fault(
+                    at,
+                    FaultEvent::StealBurst { cpu: CpuId(0), duration: SimDuration::from_millis(1) },
+                );
+            }
+            // One marker per step makes the firing order visible even for
+            // events that emit nothing themselves (faults).
+            let step = |k: &mut Kernel| {
+                assert!(k.step(), "events remain");
+                let snap = k.metrics_registry().snapshot();
+                let marker = format!(
+                    "step ticks={} steals={} slows={}",
+                    snap.counter("kernel.ticks"),
+                    snap.counter("kernel.faults.steal_bursts"),
+                    snap.counter("kernel.faults.slowdowns"),
+                );
+                log.lock().unwrap().push((k.now().as_nanos(), marker));
+            };
+            while k.now() < ms(5) {
+                step(&mut k);
+            }
+            // The 6 ms tick is already armed; the 7 ms tick is not yet.
+            k.inject_fault(ms(6), FaultEvent::SlowTask { task: worker, factor: 0.5 });
+            k.inject_fault(
+                ms(7),
+                FaultEvent::StealBurst { cpu: CpuId(0), duration: SimDuration::from_micros(100) },
+            );
+            while [sleeper, worker].iter().any(|&t| k.task(t).state != TaskState::Exited) {
+                step(&mut k);
+            }
+            let done = k.task(worker).exited_at.unwrap();
+            let log = log.lock().unwrap().clone();
+            (done, log)
+        };
+        // A probe run finds the worker's completion instant; the real run
+        // injects a steal burst for exactly that instant before it starts.
+        let (completion, _) = run(None);
+        assert_ne!(completion.as_nanos() % 1_000_000, 0, "completion is off the tick grid");
+        let (_, log) = run(Some(completion));
+        let at = [ms(3), ms(6), ms(7), completion].map(|t| t.as_nanos());
+        let pinned: Vec<String> = log
+            .iter()
+            .filter(|(t, _)| at.contains(t))
+            .map(|(t, what)| format!("{t} {what}"))
+            .collect();
+        let c = completion.as_nanos();
+        let expected = [
+            // 3 ms: the signal (armed at spawn) fires before the tick
+            // (armed at 2 ms).
+            "3000000 task0 IterationEnd { index: 0, utilization: 0.0 }".to_string(),
+            "3000000 task0 State { state: Runnable, cpu: Some(cpu0) }".to_string(),
+            "3000000 step ticks=2 steals=0 slows=0".to_string(),
+            "3000000 Tick { cpu: cpu0 }".to_string(),
+            "3000000 step ticks=3 steals=0 slows=0".to_string(),
+            // 6 ms: the tick was armed before the fault was injected.
+            "6000000 Tick { cpu: cpu0 }".to_string(),
+            "6000000 step ticks=6 steals=0 slows=0".to_string(),
+            "6000000 step ticks=6 steals=0 slows=1".to_string(),
+            // 7 ms: the fault was injected before the tick was armed.
+            "7000000 step ticks=6 steals=1 slows=1".to_string(),
+            "7000000 Tick { cpu: cpu0 }".to_string(),
+            "7000000 step ticks=7 steals=1 slows=1".to_string(),
+            // Completion: the completion timer was re-armed after the
+            // fault was injected, so the fault fires first.
+            format!("{c} step ticks=19 steals=2 slows=1"),
+            format!("{c} task1 Exit"),
+            format!("{c} ClassPick cpu0 runnable=0"),
+            format!("{c} step ticks=19 steals=2 slows=1"),
+        ];
+        assert_eq!(c, 19_208_000);
+        assert_eq!(pinned, expected);
+        assert_eq!(log.len(), 72);
     }
 }

@@ -68,7 +68,7 @@ fn warm_kernel_event_loop_makes_zero_allocations() {
         k.spawn(
             format!("busy{i}"),
             SchedPolicy::Normal,
-            // Endless 2 ms compute segments: each completion is a WorkDone
+            // Endless 2 ms compute segments: each completion is a timer
             // event followed by the next segment.
             Box::new(FnProgram(move |_: &mut KernelApi<'_>| {
                 segments.fetch_add(1, Ordering::Relaxed);

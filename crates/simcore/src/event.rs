@@ -1,10 +1,10 @@
-//! Deterministic, cancellable event queue.
+//! Deterministic, cancellable event queue with re-armable timer slots.
 //!
 //! A classic discrete-event-simulation future-event list. Two properties
 //! matter for this workspace:
 //!
-//! 1. **Determinism** — events scheduled for the same timestamp pop in the
-//!    order they were scheduled (FIFO tie-break via a sequence counter), so a
+//! 1. **Determinism** — events due at the same timestamp pop in the order
+//!    they were scheduled (FIFO tie-break via a sequence counter), so a
 //!    simulation never depends on heap internals.
 //! 2. **Cancellation** — timers (scheduler ticks, RR time slices, message
 //!    deliveries) are frequently re-armed. The queue is an *indexed* binary
@@ -19,6 +19,18 @@
 //! comparison. Freed slots are reused, so memory is bounded by the peak
 //! number of simultaneously pending events, however long a cancel/re-arm
 //! loop runs.
+//!
+//! Beside the heap sits a fixed set of *timer slots*
+//! ([`EventQueue::with_timers`]): per-owner timers, such as a CPU's tick,
+//! that are re-armed after nearly every event. A slot holds at most one
+//! pending `(time, seq)` and carries no payload; [`EventQueue::arm`] draws
+//! its `seq` from the same counter as [`EventQueue::schedule`], and
+//! [`EventQueue::pop_due`] merges the slots with the heap head under the one
+//! `(time, seq)` order. So re-arming a slot fires at exactly the time and in
+//! exactly the tie order of a `cancel` followed by a `schedule`, without
+//! touching the heap. The telemetry counters keep that meaning too: an arm
+//! counts one `scheduled`, replacing or disarming a pending arming counts
+//! one `cancelled`, and a slot coming due counts one `processed`.
 
 use crate::time::SimTime;
 
@@ -53,6 +65,25 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
+/// What [`EventQueue::pop_due`] hands back: a heap event or a timer slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Due<E> {
+    /// A scheduled event left the heap.
+    Event(ScheduledEvent<E>),
+    /// Timer slot `timer` came due at `time`; it is disarmed now.
+    Timer { time: SimTime, timer: usize },
+}
+
+impl<E> Due<E> {
+    /// The instant the event or timer fires.
+    pub fn time(&self) -> SimTime {
+        match self {
+            Due::Event(ev) => ev.time,
+            Due::Timer { time, .. } => *time,
+        }
+    }
+}
+
 struct Entry<E> {
     time: SimTime,
     /// Scheduling order; unique, so `(time, seq)` is a total order.
@@ -77,8 +108,8 @@ struct Slot {
     pos: u32,
 }
 
-/// Telemetry handles for one event queue. All counters are optional-free:
-/// an unattached queue pays a single branch per operation.
+/// Telemetry handles for one event queue, fed by
+/// [`EventQueue::publish_counters`].
 #[derive(Clone)]
 pub struct EventQueueCounters {
     pub scheduled: telemetry::Counter,
@@ -98,15 +129,27 @@ impl EventQueueCounters {
     }
 }
 
-/// Future-event list: an indexed binary min-heap on `(time, seq)`.
+/// Future-event list: an indexed binary min-heap on `(time, seq)` plus
+/// a fixed set of timer slots under the same order.
 pub struct EventQueue<E> {
     heap: Vec<Entry<E>>,
     slots: Vec<Slot>,
     /// Vacant slots, reused last-freed first.
     free: Vec<u32>,
+    /// Timer slots: the pending `(time, seq)` of each, `None` if disarmed.
+    timers: Vec<Option<(SimTime, u64)>>,
     next_seq: u64,
     last_popped: SimTime,
     counters: Option<EventQueueCounters>,
+    tally: Tally,
+}
+
+/// Queue operations counted since the last publish.
+#[derive(Default)]
+struct Tally {
+    scheduled: u64,
+    cancelled: u64,
+    processed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -117,29 +160,59 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
+        Self::with_timers(0)
+    }
+
+    /// A queue with `timers` timer slots, numbered `0..timers`, all
+    /// disarmed.
+    pub fn with_timers(timers: usize) -> Self {
         EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            timers: vec![None; timers],
             next_seq: 0,
             last_popped: SimTime::ZERO,
             counters: None,
+            tally: Tally::default(),
         }
     }
 
-    /// Attach telemetry counters; subsequent schedule/cancel/pop operations
-    /// are counted. Counts start from this call (not retroactive).
+    /// Attach telemetry counters; subsequent operations are counted and
+    /// reach them at the next [`EventQueue::publish_counters`]. Counts
+    /// start from this call (not retroactive).
     pub fn attach_counters(&mut self, counters: EventQueueCounters) {
+        self.tally = Tally::default();
         self.counters = Some(counters);
     }
 
-    /// Number of pending events.
+    /// Add the operations counted since the last publish to the attached
+    /// counters. Counting is a plain increment on the queue; the shared
+    /// atomic counters are touched only here, so an owner publishes at its
+    /// own API boundaries (the kernel does before every public call
+    /// returns) and the counters read exact totals between them.
+    pub fn publish_counters(&mut self) {
+        let tally = std::mem::take(&mut self.tally);
+        if let Some(c) = &self.counters {
+            for (counter, n) in [
+                (&c.scheduled, tally.scheduled),
+                (&c.cancelled, tally.cancelled),
+                (&c.processed, tally.processed),
+            ] {
+                if n > 0 {
+                    counter.add(n);
+                }
+            }
+        }
+    }
+
+    /// Number of pending events, armed timer slots included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.timers.iter().filter(|t| t.is_some()).count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Size of the slot table: the peak number of simultaneously pending
@@ -170,14 +243,11 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let pos = self.heap.len();
         self.heap.push(Entry { time, seq, slot, payload });
         self.sift_up(pos);
-        if let Some(c) = &self.counters {
-            c.scheduled.inc();
-        }
+        self.tally.scheduled += 1;
         EventId::new(slot, self.slots[slot as usize].generation)
     }
 
@@ -190,9 +260,7 @@ impl<E> EventQueue<E> {
         let pos = self.slots[id.slot()].pos as usize;
         let entry = self.remove_at(pos);
         self.release(entry.slot);
-        if let Some(c) = &self.counters {
-            c.cancelled.inc();
-        }
+        self.tally.cancelled += 1;
         true
     }
 
@@ -204,32 +272,100 @@ impl<E> EventQueue<E> {
             .is_some_and(|s| s.pos != VACANT && s.generation == id.generation())
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Arm timer slot `timer` to come due at `time`, replacing any pending
+    /// arming. The arming takes the next `seq`, so it orders against heap
+    /// events exactly as a `cancel` plus `schedule` would.
+    ///
+    /// # Panics
+    /// If `timer` is out of range. In debug builds, also if `time` is
+    /// before the last popped event.
+    pub fn arm(&mut self, timer: usize, time: SimTime) {
+        debug_assert!(
+            time >= self.last_popped,
+            "arming into the past: {time:?} < {:?}",
+            self.last_popped
+        );
+        self.disarm(timer);
+        self.timers[timer] = Some((time, self.take_seq()));
+        self.tally.scheduled += 1;
+    }
+
+    /// Disarm timer slot `timer`. Returns `true` if it was armed (i.e.
+    /// this call prevented it from coming due).
+    pub fn disarm(&mut self, timer: usize) -> bool {
+        let armed = self.timers[timer].take().is_some();
+        if armed {
+            self.tally.cancelled += 1;
+        }
+        armed
+    }
+
+    /// True while timer slot `timer` is armed.
+    pub fn is_armed(&self, timer: usize) -> bool {
+        self.timers[timer].is_some()
+    }
+
+    /// Timestamp of the next pending event or timer, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        let timer = self.first_timer().map(|(_, (time, _))| time);
+        self.heap.first().map(|e| e.time).into_iter().chain(timer).min()
     }
 
-    /// Pop the next pending event.
+    /// Pop whichever comes first in `(time, seq)` order: the heap head or
+    /// an armed timer slot (which is disarmed by coming due).
+    pub fn pop_due(&mut self) -> Option<Due<E>> {
+        let heap = self.heap.first().map(|e| (e.time, e.seq));
+        let due = match self.first_timer() {
+            Some((timer, key)) if heap.is_none_or(|h| key < h) => {
+                self.timers[timer] = None;
+                Due::Timer { time: key.0, timer }
+            }
+            _ if heap.is_some() => {
+                let entry = self.remove_at(0);
+                let id = EventId::new(entry.slot, self.slots[entry.slot as usize].generation);
+                self.release(entry.slot);
+                Due::Event(ScheduledEvent { time: entry.time, id, payload: entry.payload })
+            }
+            _ => return None,
+        };
+        self.last_popped = due.time();
+        self.tally.processed += 1;
+        Some(due)
+    }
+
+    /// Pop the next pending event of a queue whose timer slots are all
+    /// disarmed (for instance one built with [`EventQueue::new`]).
+    ///
+    /// # Panics
+    /// If an armed timer slot comes due first; such queues pop through
+    /// [`EventQueue::pop_due`].
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.heap.is_empty() {
-            return None;
+        match self.pop_due()? {
+            Due::Event(ev) => Some(ev),
+            Due::Timer { timer, .. } => panic!("timer slot {timer} came due in pop(); use pop_due"),
         }
-        let entry = self.remove_at(0);
-        let id = EventId::new(entry.slot, self.slots[entry.slot as usize].generation);
-        self.release(entry.slot);
-        self.last_popped = entry.time;
-        if let Some(c) = &self.counters {
-            c.processed.inc();
-        }
-        Some(ScheduledEvent { time: entry.time, id, payload: entry.payload })
     }
 
-    /// Drop all pending events; their ids become stale.
+    /// Drop all pending events and disarm every timer slot; event ids
+    /// become stale.
     pub fn clear(&mut self) {
         for pos in 0..self.heap.len() {
             self.release(self.heap[pos].slot);
         }
         self.heap.clear();
+        self.timers.fill(None);
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// The armed timer slot with the least `(time, seq)`, and that key.
+    fn first_timer(&self) -> Option<(usize, (SimTime, u64))> {
+        let armed = self.timers.iter().enumerate();
+        armed.filter_map(|(timer, key)| Some((timer, (*key)?))).min_by_key(|&(_, key)| key)
     }
 
     /// Vacate `slot` and bump its generation so every id issued for it
@@ -300,7 +436,8 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
     /// their `(time, seq)` total order, each with its slot. The slot
     /// generations and the free-slot order ride along, so ids issued before
     /// the snapshot keep their exact `cancel` semantics after a restore and
-    /// the restored queue issues the same ids as the original.
+    /// the restored queue issues the same ids as the original. The timer
+    /// slots follow, each as its pending `(time, seq)` or nothing.
     pub fn snapshot(&self, w: &mut crate::snapshot::SnapshotWriter) {
         let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
         entries.sort_by_key(|e| (e.time, e.seq));
@@ -315,6 +452,7 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
         w.put(&self.slots.iter().map(|s| s.generation).collect::<Vec<u32>>());
         w.put(&self.free);
         w.put(&self.last_popped);
+        w.put(&self.timers);
     }
 
     /// Rebuild a queue from [`EventQueue::snapshot`] bytes. Counters are
@@ -338,6 +476,7 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
         let generations: Vec<u32> = r.get()?;
         let free: Vec<u32> = r.get()?;
         let last_popped: SimTime = r.get()?;
+        let timers: Vec<Option<(SimTime, u64)>> = r.get()?;
 
         if generations.len() >= VACANT as usize {
             return Err(Malformed("event queue slot table too large"));
@@ -358,6 +497,9 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
             }
             claim(e.slot)?;
         }
+        if timers.iter().flatten().any(|&(_, seq)| seq >= next_seq) {
+            return Err(Malformed("timer seq not below next_seq"));
+        }
         for &slot in &free {
             claim(slot)?;
         }
@@ -366,9 +508,11 @@ impl<E: crate::snapshot::Snapshot> EventQueue<E> {
             heap: entries,
             slots: slots.collect(),
             free,
+            timers,
             next_seq,
             last_popped,
             counters: None,
+            tally: Tally::default(),
         };
         for pos in 0..queue.heap.len() {
             queue.sift_up(pos);
@@ -542,6 +686,81 @@ mod tests {
     }
 
     #[test]
+    fn timers_and_heap_events_share_one_seq_order() {
+        let mut q = EventQueue::with_timers(2);
+        q.schedule(t(10), "heap-a");
+        q.arm(0, t(10));
+        q.schedule(t(10), "heap-b");
+        q.arm(1, t(5));
+        // Re-arming timer 0 draws a fresh seq: it now ties after heap-b.
+        q.arm(0, t(10));
+        q.schedule(t(10), "heap-c");
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(t(5)));
+        let order: Vec<String> = std::iter::from_fn(|| q.pop_due())
+            .map(|due| match due {
+                Due::Event(ev) => format!("{}@{}", ev.payload, ev.time.as_nanos() / 1_000_000),
+                Due::Timer { time, timer } => {
+                    format!("timer{timer}@{}", time.as_nanos() / 1_000_000)
+                }
+            })
+            .collect();
+        assert_eq!(order, ["timer1@5", "heap-a@10", "heap-b@10", "timer0@10", "heap-c@10"]);
+        assert!(q.is_empty());
+        assert!(!q.is_armed(0), "a timer that came due is disarmed");
+    }
+
+    #[test]
+    fn disarm_reports_whether_the_timer_was_armed() {
+        let mut q = EventQueue::<()>::with_timers(1);
+        assert!(!q.disarm(0));
+        q.arm(0, t(3));
+        assert!(q.is_armed(0));
+        assert!(q.disarm(0));
+        assert!(!q.disarm(0));
+        assert!(q.pop_due().is_none());
+        q.arm(0, t(4));
+        q.clear();
+        assert!(!q.is_armed(0), "clear disarms every timer");
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn timer_counts_match_cancel_plus_schedule_once_published() {
+        let registry = telemetry::MetricsRegistry::new();
+        let mut q = EventQueue::with_timers(2);
+        q.attach_counters(EventQueueCounters::register(&registry, "q"));
+        q.arm(0, t(1)); // scheduled 1
+        q.arm(0, t(2)); // cancelled 1, scheduled 2
+        q.arm(1, t(3)); // scheduled 3
+        assert!(q.disarm(1)); // cancelled 2
+        assert!(!q.disarm(1)); // nothing was armed
+        let e = q.schedule(t(2), 7u8); // scheduled 4
+        assert!(q.cancel(e)); // cancelled 3
+        q.schedule(t(2), 8); // scheduled 5
+        let counts = |r: &telemetry::MetricsRegistry| {
+            let snap = r.snapshot();
+            ["q.scheduled", "q.cancelled", "q.processed"].map(|n| snap.counter(n))
+        };
+        assert_eq!(counts(&registry), [0, 0, 0], "nothing reaches telemetry before a publish");
+        q.publish_counters();
+        assert_eq!(counts(&registry), [5, 3, 0]);
+        assert!(matches!(q.pop_due(), Some(Due::Timer { timer: 0, .. })));
+        assert!(matches!(q.pop_due(), Some(Due::Event(_))));
+        q.publish_counters();
+        q.publish_counters();
+        assert_eq!(counts(&registry), [5, 3, 2], "publishing is idempotent between operations");
+    }
+
+    #[test]
+    #[should_panic(expected = "came due in pop()")]
+    fn pop_refuses_a_due_timer() {
+        let mut q = EventQueue::<u8>::with_timers(1);
+        q.arm(0, t(1));
+        q.pop();
+    }
+
+    #[test]
     #[should_panic(expected = "scheduling into the past")]
     #[cfg(debug_assertions)]
     fn scheduling_into_past_panics_in_debug() {
@@ -597,6 +816,23 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_round_trips_timer_slots() {
+        let mut q = EventQueue::with_timers(3);
+        q.arm(2, t(7));
+        q.schedule(t(7), 1u64);
+        q.arm(0, t(7));
+        let mut back = restore_bytes(&snap_bytes(&q)).unwrap();
+        assert!(back.is_armed(0) && !back.is_armed(1) && back.is_armed(2));
+        // The restored queue draws the same next seq.
+        q.arm(1, t(7));
+        back.arm(1, t(7));
+        let drain = |q: &mut EventQueue<u64>| -> Vec<Due<u64>> {
+            std::iter::from_fn(|| q.pop_due()).collect()
+        };
+        assert_eq!(drain(&mut back), drain(&mut q));
+    }
+
+    #[test]
     fn equal_queues_produce_equal_snapshot_bytes() {
         // Same logical state via different histories: one queue schedules
         // in ascending order, the other descending — entries are emitted
@@ -622,6 +858,24 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_timer_seq_at_or_past_next_seq() {
+        use crate::snapshot::{SnapshotError, SnapshotWriter};
+        // An empty heap, next_seq 5, and one armed timer at `seq`.
+        let encode = |seq: u64| {
+            let mut w = SnapshotWriter::new();
+            w.put_len(0);
+            w.put_u64(5);
+            w.put(&Vec::<u32>::new());
+            w.put(&Vec::<u32>::new());
+            w.put(&SimTime::ZERO);
+            w.put(&vec![None, Some((t(1), seq))]);
+            w.finish()
+        };
+        assert!(restore_bytes(&encode(4)).is_ok_and(|q| q.is_armed(1)));
+        assert!(matches!(restore_bytes(&encode(5)), Err(SnapshotError::Malformed(_))));
+    }
+
+    #[test]
     fn restore_rejects_inconsistent_slots() {
         use crate::snapshot::{SnapshotError, SnapshotWriter};
         // One pending entry at slot `slot`, a table of `gens` slots, and
@@ -637,6 +891,7 @@ mod tests {
             w.put(&vec![0u32; gens]);
             w.put(&free);
             w.put(&SimTime::ZERO);
+            w.put(&Vec::<Option<(SimTime, u64)>>::new());
             w.finish()
         };
         assert!(restore_bytes(&encode(0, 2, vec![1], 0)).is_ok());

@@ -7,7 +7,8 @@
 //! primitives everything else is built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a cancellable, deterministically-ordered event queue,
+//! * [`EventQueue`] — a cancellable, deterministically-ordered event queue
+//!   with re-armable timer slots,
 //! * [`SimRng`] — a seeded RNG with the distribution helpers the workload and
 //!   OS-noise models need,
 //!
@@ -33,7 +34,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventId, EventQueue, EventQueueCounters, ScheduledEvent};
+pub use event::{Due, EventId, EventQueue, EventQueueCounters, ScheduledEvent};
 pub use exec::{Pool, PoolCounters, SupervisePolicy, Supervised, TaskFailure};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use rng::SimRng;

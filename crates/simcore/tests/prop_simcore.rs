@@ -1,7 +1,7 @@
 //! Property tests for the discrete-event core.
 
 use proptest::prelude::*;
-use simcore::{EventId, EventQueue, OnlineStats, SimDuration, SimTime};
+use simcore::{Due, EventId, EventQueue, EventQueueCounters, OnlineStats, SimDuration, SimTime};
 
 /// Reference model of the event queue: pending events in a plain `Vec`,
 /// the next one found by a linear scan for the least `(time, seq)`.
@@ -27,6 +27,28 @@ impl ModelQueue {
         let i = (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))?;
         Some(self.pending.remove(i))
     }
+}
+
+/// What the reference queue of `timers_match_cancel_plus_schedule` holds:
+/// a timer arming or an ordinary event.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum RefPayload {
+    Timer(usize),
+    Event(u64),
+}
+
+/// The `(time, what)` pairs a queue's next pop yields, timers and events
+/// told apart the same way for both queues.
+fn slot_pop(q: &mut EventQueue<u64>) -> Option<(SimTime, RefPayload)> {
+    q.pop_due().map(|due| match due {
+        Due::Timer { time, timer } => (time, RefPayload::Timer(timer)),
+        Due::Event(ev) => (ev.time, RefPayload::Event(ev.payload)),
+    })
+}
+
+fn published(registry: &telemetry::MetricsRegistry) -> [u64; 3] {
+    let snap = registry.snapshot();
+    ["q.scheduled", "q.cancelled", "q.processed"].map(|n| snap.counter(n))
 }
 
 proptest! {
@@ -126,6 +148,75 @@ proptest! {
             prop_assert_eq!(Some((e.time, e.payload, e.id)), model.pop(), "drain order");
         }
         prop_assert!(model.pending.is_empty());
+    }
+
+    /// Differential test of the timer slots: a queue with slots against a
+    /// plain queue on which every arm is a `cancel` of the timer's last id
+    /// plus a `schedule`. Random interleavings of arm, re-arm, disarm,
+    /// ordinary schedules between pops (the kernel's injected faults),
+    /// arms at `now` and heavy same-timestamp ties must agree on pop order
+    /// (time and payload), `len`, `peek_time`, armed state and every
+    /// published counter.
+    #[test]
+    fn timers_match_cancel_plus_schedule(
+        ops in proptest::collection::vec((0u8..12, 0u64..4, 0usize..4), 1..400),
+    ) {
+        const TIMERS: usize = 4;
+        let (slot_reg, ref_reg) = (telemetry::MetricsRegistry::new(), telemetry::MetricsRegistry::new());
+        let mut q = EventQueue::<u64>::with_timers(TIMERS);
+        q.attach_counters(EventQueueCounters::register(&slot_reg, "q"));
+        let mut reference = EventQueue::<RefPayload>::new();
+        reference.attach_counters(EventQueueCounters::register(&ref_reg, "q"));
+        let mut armed = [EventId::NONE; TIMERS];
+        let mut now = SimTime::ZERO;
+        let mut next_payload = 0u64;
+        for (op, dt, k) in ops {
+            // dt == 0 arms or schedules at `now`; small offsets tie often.
+            let time = SimTime(now.as_nanos() + dt);
+            match op {
+                0..=3 => {
+                    q.arm(k, time);
+                    reference.cancel(armed[k]);
+                    armed[k] = reference.schedule(time, RefPayload::Timer(k));
+                }
+                4 | 5 => {
+                    prop_assert_eq!(q.disarm(k), reference.cancel(armed[k]), "disarm result");
+                }
+                6 | 7 => {
+                    q.schedule(time, next_payload);
+                    reference.schedule(time, RefPayload::Event(next_payload));
+                    next_payload += 1;
+                }
+                8 => {
+                    q.publish_counters();
+                    reference.publish_counters();
+                    prop_assert_eq!(published(&slot_reg), published(&ref_reg), "counters");
+                }
+                _ => {
+                    let got = slot_pop(&mut q);
+                    let want = reference.pop().map(|e| (e.time, e.payload));
+                    prop_assert_eq!(got, want, "pop order");
+                    if let Some((time, _)) = got {
+                        now = time;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.peek_time(), reference.peek_time());
+            for (timer, id) in armed.iter().enumerate() {
+                prop_assert_eq!(q.is_armed(timer), reference.is_pending(*id));
+            }
+        }
+        loop {
+            let got = slot_pop(&mut q);
+            prop_assert_eq!(got, reference.pop().map(|e| (e.time, e.payload)), "drain order");
+            if got.is_none() {
+                break;
+            }
+        }
+        q.publish_counters();
+        reference.publish_counters();
+        prop_assert_eq!(published(&slot_reg), published(&ref_reg), "final counters");
     }
 
     /// Welford statistics agree with the naive two-pass computation.
