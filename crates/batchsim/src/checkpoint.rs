@@ -240,7 +240,7 @@ impl Snapshot for BatchCheckpoint {
         if r.get_u32()? != BATCH_CHECKPOINT_VERSION {
             return Err(SnapshotError::Malformed("unsupported batch checkpoint version"));
         }
-        Ok(BatchCheckpoint {
+        let ckpt = BatchCheckpoint {
             cfg: r.get()?,
             fault_armed: r.get()?,
             now: r.get()?,
@@ -257,8 +257,57 @@ impl Snapshot for BatchCheckpoint {
             conformance_src: r.get()?,
             queue_peak: r.get_i64()?,
             fleet: r.get()?,
-        })
+        };
+        ckpt.check_consistency()?;
+        Ok(ckpt)
     }
+}
+
+impl BatchCheckpoint {
+    /// Cross-field consistency of a decoded image: everything resume
+    /// indexes or unwraps must be in range and present, so a checksummed
+    /// but inconsistent image fails to decode instead of panicking later.
+    fn check_consistency(&self) -> Result<(), SnapshotError> {
+        let n = self.cfg.num_nodes;
+        if self.fleet_up.len() != n || self.fleet_busy.len() != n {
+            return Err(SnapshotError::Malformed("fleet image size differs from num_nodes"));
+        }
+        if self.fault_armed.is_some_and(|f| f.node >= n) {
+            return Err(SnapshotError::Malformed("armed fault names a node out of range"));
+        }
+        let mut held = vec![false; n];
+        for (id, nodes, _, _) in &self.running {
+            if !self.trackers.contains_key(id) {
+                return Err(SnapshotError::Malformed("running job has no tracker"));
+            }
+            for &node in nodes {
+                match held.get_mut(node) {
+                    Some(h) if !*h => *h = true,
+                    Some(_) => return Err(SnapshotError::Malformed("running node held twice")),
+                    None => return Err(SnapshotError::Malformed("running node out of range")),
+                }
+            }
+        }
+        if self.queue.iter().any(|id| !self.trackers.contains_key(id)) {
+            return Err(SnapshotError::Malformed("queued job has no tracker"));
+        }
+        for (_, spec) in &self.conformance_src {
+            check_spec(spec)?;
+        }
+        Ok(())
+    }
+}
+
+/// A job spec the engine can place and run: at least one rank, every load
+/// positive and finite (what `JobSpec::new` enforces on construction).
+fn check_spec(spec: &JobSpec) -> Result<(), SnapshotError> {
+    if spec.rank_loads.is_empty() {
+        return Err(SnapshotError::Malformed("job spec has no ranks"));
+    }
+    if !spec.rank_loads.iter().all(|&l| l.is_finite() && l > 0.0) {
+        return Err(SnapshotError::Malformed("job spec load is not positive and finite"));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -378,12 +427,14 @@ impl Snapshot for BatchJob {
         w.put(&self.class);
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BatchJob {
+        let job = BatchJob {
             id: r.get_u64()?,
             spec: r.get()?,
             arrival: r.get_f64()?,
             class: r.get()?,
-        })
+        };
+        check_spec(&job.spec)?;
+        Ok(job)
     }
 }
 
@@ -524,7 +575,11 @@ impl Snapshot for JobRecord {
 impl Snapshot for Tracker {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         self.job.snapshot(w);
-        self.remaining.snapshot(w);
+        // The remaining segment images as a full `JobSpec`: the job's own
+        // name and loads with the remaining iteration count.
+        w.put_str(&self.job.spec.name);
+        w.put(&self.job.spec.rank_loads);
+        w.put_u32(self.remaining_iters);
         w.put(&self.first_start);
         w.put_f64(self.node_secs_held);
         w.put_f64(self.run_secs);
@@ -535,9 +590,17 @@ impl Snapshot for Tracker {
         w.put(&self.failure);
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let job: BatchJob = r.get()?;
+        let remaining: JobSpec = r.get()?;
+        if remaining.name != job.spec.name
+            || remaining.rank_loads != job.spec.rank_loads
+            || remaining.iterations > job.spec.iterations
+        {
+            return Err(SnapshotError::Malformed("tracker segment is not a prefix of its job"));
+        }
         Ok(Tracker {
-            job: r.get()?,
-            remaining: r.get()?,
+            job,
+            remaining_iters: remaining.iterations,
             first_start: r.get()?,
             node_secs_held: r.get_f64()?,
             run_secs: r.get_f64()?,
@@ -727,6 +790,128 @@ mod tests {
             BatchCheckpoint::decode(&bytes),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// A cut with a running segment and a queued job behind it.
+    fn busy_cut() -> BatchCheckpoint {
+        let stream = heavy_light_mix(7, 24);
+        (4..60)
+            .filter_map(|cut| run_batch_until(&stream, &cfg(), None, cut))
+            .find(|c| !c.running.is_empty() && !c.queue.is_empty())
+            .expect("the mix queues jobs behind running ones")
+    }
+
+    fn assert_malformed(ckpt: &BatchCheckpoint, what: &str) {
+        let got = BatchCheckpoint::decode(&ckpt.encode());
+        assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{what}: {got:?}");
+    }
+
+    #[test]
+    fn decode_rejects_a_running_node_out_of_range() {
+        let ckpt = busy_cut();
+        let resumed = resume_batch(&BatchCheckpoint::decode(&ckpt.encode()).expect("intact"));
+        assert!(!resumed.jobs.is_empty(), "the intact cut decodes and resumes");
+        let mut bad = ckpt;
+        bad.running[0].1[0] = 9999;
+        assert_malformed(&bad, "node 9999");
+    }
+
+    #[test]
+    fn decode_rejects_a_tracker_with_no_ranks() {
+        let mut ckpt = busy_cut();
+        let tr = ckpt.trackers.values_mut().next().expect("a tracked job");
+        tr.job.spec.rank_loads.clear();
+        assert_malformed(&ckpt, "empty rank_loads");
+    }
+
+    #[test]
+    fn decode_rejects_inconsistent_contents() {
+        let ckpt = busy_cut();
+        type Edit = (&'static str, fn(&mut BatchCheckpoint));
+        let edits: [Edit; 10] = [
+            ("short fleet_up", |c| {
+                c.fleet_up.pop();
+            }),
+            ("long fleet_busy", |c| c.fleet_busy.push(false)),
+            ("node count", |c| c.cfg.num_nodes += 1),
+            ("fault node", |c| {
+                c.fault_armed = Some(BatchFault {
+                    node: c.cfg.num_nodes,
+                    after_completions: 99,
+                    max_retries: 1,
+                    restart_secs: 0.0,
+                });
+            }),
+            ("duplicate node", |c| {
+                let node = c.running[0].1[0];
+                c.running[0].1.push(node);
+            }),
+            ("running without tracker", |c| {
+                let id = c.running[0].0;
+                c.trackers.remove(&id);
+            }),
+            ("queued without tracker", |c| c.queue.push_back(u64::MAX)),
+            ("zero load", |c| {
+                c.trackers.values_mut().for_each(|t| t.job.spec.rank_loads[0] = 0.0);
+            }),
+            ("NaN load", |c| {
+                c.trackers.values_mut().for_each(|t| t.job.spec.rank_loads[0] = f64::NAN);
+            }),
+            ("infinite arrival load", |c| {
+                c.arrivals.iter_mut().for_each(|j| j.spec.rank_loads[0] = f64::INFINITY);
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut bad = ckpt.clone();
+            edit(&mut bad);
+            assert_malformed(&bad, what);
+        }
+    }
+
+    /// Encode `tr` with `remaining` as its remaining-segment image, in the
+    /// wire order of the `Tracker` encoding.
+    fn tracker_image(tr: &Tracker, remaining: &JobSpec) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        tr.job.snapshot(&mut w);
+        remaining.snapshot(&mut w);
+        w.put(&tr.first_start);
+        w.put_f64(tr.node_secs_held);
+        w.put_f64(tr.run_secs);
+        w.put_u32(tr.iters_done);
+        w.put_u32(tr.requeues);
+        w.put_bool(tr.backfilled);
+        w.put_f64(tr.restart_due);
+        w.put(&tr.failure);
+        w.finish()
+    }
+
+    #[test]
+    fn tracker_decode_rejects_a_segment_that_is_not_its_job() {
+        let ckpt = busy_cut();
+        let tr = ckpt.trackers.values().next().expect("a tracked job");
+        let decode = |bytes: &[u8]| {
+            let mut r = SnapshotReader::new(bytes)?;
+            r.get::<Tracker>()
+        };
+        let mut w = SnapshotWriter::new();
+        tr.snapshot(&mut w);
+        assert_eq!(tracker_image(tr, &tr.job.spec), w.finish(), "same wire order");
+        assert!(decode(&tracker_image(tr, &tr.job.spec)).is_ok());
+        let spec = &tr.job.spec;
+        let bad = [
+            JobSpec { name: format!("{}x", spec.name), ..spec.clone() },
+            JobSpec {
+                rank_loads: spec.rank_loads.iter().map(|l| l * 2.0).collect(),
+                ..spec.clone()
+            },
+            JobSpec { iterations: spec.iterations + 1, ..spec.clone() },
+        ];
+        for remaining in &bad {
+            assert!(
+                matches!(decode(&tracker_image(tr, remaining)), Err(SnapshotError::Malformed(_))),
+                "{remaining:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,18 @@
 //! * arrivals come from a lazy [`crate::arrivals::FleetJobs`] generator
 //!   (pure in `(config, index)`, so checkpoints image it as a count);
 //! * the event trace folds into an FNV-1a fingerprint as events are
-//!   emitted — the hash of the rendered trace, never the trace itself;
+//!   emitted — the hash of the rendered trace, never the trace itself.
+//!   Each event renders through [`crate::BatchEvent::write_to`] into an
+//!   FNV-1a `fmt::Write` sink, so no line `String` is ever built;
 //! * per-job records fold into a [`FleetAccum`] the moment they are
-//!   produced, then drop.
+//!   produced, then drop. The per-node placement image of a finished
+//!   segment is not copied for them: the accumulator reads scalars only.
+//!
+//! The engine structures both modes share are O(running) or O(nodes),
+//! never O(jobs): running segments live in one
+//! [`crate::index::ReleaseIndex`] map keyed `(end, admission seq)`,
+//! oracle measurements are shared by reference between the segments that
+//! run them, and free nodes are a `u64` bitset scanned lowest id first.
 //!
 //! This module is covered by simverify rule SV014: statistics here must
 //! accumulate into scalars, never into per-job growable containers.

@@ -6,32 +6,56 @@
 //! head. The engine used to answer both by sorting a scratch copy of the
 //! running list, O(r log r) per pass and O(n·r log r) over a run.
 //!
-//! [`ReleaseIndex`] keeps `(end, admission_seq)` keys in an ordered set
-//! with the freed node width attached, so:
+//! [`ReleaseIndex`] is the engine's one home for running segments: a
+//! single ordered map keyed `(end, admission seq)` that owns each
+//! segment's payload, so:
 //!
 //! * the next completion is the first key — O(log r);
-//! * the shadow walk visits releases in end order and stops as soon as
-//!   the accumulated width satisfies the head — at most `need` entries,
+//! * released segments pop from the front, in `(end, seq)` order, into a
+//!   caller-owned buffer that is reused across events;
+//! * the shadow walk visits releases in end order, reading each freed
+//!   width from its payload ([`Width`]), and stops as soon as the
+//!   accumulated width satisfies the head — at most `need` entries,
 //!   since every release frees at least one node;
 //! * equal end times order by admission sequence, exactly the stable
 //!   sort over the old admission-ordered `Vec` — byte-identical shadow
 //!   choices.
+//!
+//! The rare paths that need admission order over *all* segments (the
+//! node-failure victim search, checkpoint capture) walk [`ReleaseIndex::iter`]
+//! and sort by seq themselves.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use simcore::SimTime;
 
-/// Ordered index of running segments keyed `(end, admission seq)`, with
-/// the node width each release frees.
-#[derive(Clone, Debug, Default)]
-pub struct ReleaseIndex {
-    by_end: BTreeSet<(SimTime, u64)>,
-    /// seq → `(end, width)`, for O(log r) removal.
-    entries: BTreeMap<u64, (SimTime, usize)>,
+/// Nodes a running segment frees when it releases.
+pub trait Width {
+    fn width(&self) -> usize;
 }
 
-impl ReleaseIndex {
-    pub fn new() -> ReleaseIndex {
+/// A bare width: the payload of an index that tracks nothing else.
+impl Width for usize {
+    fn width(&self) -> usize {
+        *self
+    }
+}
+
+/// Ordered index of running segments keyed `(end, admission seq)`,
+/// owning each segment's payload.
+#[derive(Clone, Debug)]
+pub struct ReleaseIndex<T = usize> {
+    by_end: BTreeMap<(SimTime, u64), T>,
+}
+
+impl<T> Default for ReleaseIndex<T> {
+    fn default() -> Self {
+        ReleaseIndex { by_end: BTreeMap::new() }
+    }
+}
+
+impl<T: Width> ReleaseIndex<T> {
+    pub fn new() -> ReleaseIndex<T> {
         ReleaseIndex::default()
     }
 
@@ -43,43 +67,38 @@ impl ReleaseIndex {
         self.by_end.is_empty()
     }
 
-    /// Track a segment admitted as `seq`, occupying `width` nodes until
-    /// `end`.
-    pub fn insert(&mut self, seq: u64, end: SimTime, width: usize) {
-        self.by_end.insert((end, seq));
-        self.entries.insert(seq, (end, width));
+    /// Track a segment admitted as `seq` that runs until `end`.
+    pub fn insert(&mut self, seq: u64, end: SimTime, seg: T) {
+        self.by_end.insert((end, seq), seg);
     }
 
-    /// Stop tracking a segment (completion or failure-requeue); `false`
-    /// when `seq` was not tracked.
-    pub fn remove(&mut self, seq: u64) -> bool {
-        match self.entries.remove(&seq) {
-            Some((end, _)) => {
-                self.by_end.remove(&(end, seq));
-                true
-            }
-            None => false,
-        }
+    /// Stop tracking the segment admitted as `seq` ending at `end`
+    /// (failure-requeue), returning it; `None` when it was not tracked.
+    pub fn remove(&mut self, end: SimTime, seq: u64) -> Option<T> {
+        self.by_end.remove(&(end, seq))
     }
 
     /// Earliest completion instant over all running segments.
     pub fn next_release(&self) -> Option<SimTime> {
-        self.by_end.first().map(|&(end, _)| end)
+        self.by_end.first_key_value().map(|(&(end, _), _)| end)
     }
 
-    /// Remove and return the seqs of every segment with `end <= now`, in
-    /// `(end, seq)` order.
-    pub fn pop_released(&mut self, now: SimTime) -> Vec<u64> {
-        let mut out = Vec::new();
-        while let Some(&(end, seq)) = self.by_end.first() {
+    /// Move every segment with `end <= now` into `out` as `(seq, seg)`, in
+    /// `(end, seq)` order. `out` is appended to, never cleared, so callers
+    /// can reuse one buffer across events.
+    pub fn pop_released(&mut self, now: SimTime, out: &mut Vec<(u64, T)>) {
+        while let Some(entry) = self.by_end.first_entry() {
+            let (end, seq) = *entry.key();
             if end > now {
                 break;
             }
-            self.by_end.pop_first();
-            self.entries.remove(&seq);
-            out.push(seq);
+            out.push((seq, entry.remove()));
         }
-        out
+    }
+
+    /// Every running segment as `(end, seq, seg)`, in `(end, seq)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &T)> + '_ {
+        self.by_end.iter().map(|(&(end, seq), seg)| (end, seq, seg))
     }
 
     /// The EASY shadow computation: starting from `avail` free nodes,
@@ -88,9 +107,8 @@ impl ReleaseIndex {
     /// `None` when even a fully drained fleet cannot satisfy the head.
     /// Visits at most `need` entries — every release frees ≥ 1 node.
     pub fn shadow(&self, mut avail: usize, need: usize) -> Option<(SimTime, usize)> {
-        for &(end, seq) in &self.by_end {
-            let width = self.entries.get(&seq).map_or(0, |&(_, w)| w);
-            avail += width;
+        for (&(end, _), seg) in &self.by_end {
+            avail += seg.width();
             if avail >= need {
                 return Some((end, avail));
             }
@@ -107,6 +125,12 @@ mod tests {
         SimTime::ZERO + simcore::SimDuration::from_nanos(secs * 1_000_000_000)
     }
 
+    fn pop_seqs(ix: &mut ReleaseIndex, now: SimTime) -> Vec<u64> {
+        let mut out = Vec::new();
+        ix.pop_released(now, &mut out);
+        out.into_iter().map(|(seq, _)| seq).collect()
+    }
+
     #[test]
     fn next_release_and_pop_follow_end_then_seq_order() {
         let mut ix = ReleaseIndex::new();
@@ -114,10 +138,10 @@ mod tests {
         ix.insert(0, t(10), 2);
         ix.insert(1, t(10), 3);
         assert_eq!(ix.next_release(), Some(t(10)));
-        assert_eq!(ix.pop_released(t(10)), vec![0, 1]);
+        assert_eq!(pop_seqs(&mut ix, t(10)), vec![0, 1]);
         assert_eq!(ix.len(), 1);
-        assert_eq!(ix.pop_released(t(29)), Vec::<u64>::new());
-        assert_eq!(ix.pop_released(t(30)), vec![2]);
+        assert_eq!(pop_seqs(&mut ix, t(29)), Vec::<u64>::new());
+        assert_eq!(pop_seqs(&mut ix, t(30)), vec![2]);
         assert!(ix.is_empty());
     }
 
@@ -156,8 +180,8 @@ mod tests {
         let mut ix = ReleaseIndex::new();
         ix.insert(0, t(5), 1);
         ix.insert(1, t(5), 1);
-        assert!(ix.remove(0));
-        assert!(!ix.remove(0));
-        assert_eq!(ix.pop_released(t(5)), vec![1]);
+        assert!(ix.remove(t(5), 0).is_some());
+        assert!(ix.remove(t(5), 0).is_none());
+        assert_eq!(pop_seqs(&mut ix, t(5)), vec![1]);
     }
 }

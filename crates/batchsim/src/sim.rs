@@ -8,10 +8,17 @@
 //!
 //! * arrivals are a sorted input, ties broken by submission id;
 //! * every queue decision iterates jobs in a total order (discipline
-//!   order, then id) over ordered-set state — no hash iteration; the
-//!   pending queue ([`crate::pending::PendingQueue`]) and the release
-//!   index ([`crate::index::ReleaseIndex`]) keep exactly the orders the
-//!   old linear structures exposed, in O(log n) per operation;
+//!   order, then id) over ordered-set state — no hash iteration. The
+//!   pending queue ([`crate::pending::PendingQueue`]) keeps the old
+//!   queue orders in O(log n) per operation. Running segments live in one
+//!   ordered map keyed `(end, admission seq)` ([`crate::index::ReleaseIndex`]):
+//!   releases pop from its front, the EASY shadow walks it in end order
+//!   (equal ends in admission order), and the rare paths that need pure
+//!   admission order — the node-failure victim, checkpoint capture — sort
+//!   by seq, so every choice matches the old admission-ordered list;
+//! * free nodes are a bitset scanned low word to high with
+//!   `trailing_zeros`, so an allocation is always the lowest free ids in
+//!   ascending order;
 //! * a job's *service time* is computed by seeded kernel runs whose seeds
 //!   mix only `(config seed, service key, local node index)` — never the
 //!   start time or the global node ids — so the oracle used for SJF
@@ -42,12 +49,17 @@
 //! [`run_fleet`] drives the same engine with streaming replacements for
 //! every O(jobs) structure: arrivals come from a lazy generator, the
 //! trace folds into an FNV-1a fingerprint as it is emitted, and records
-//! fold into a [`FleetAccum`] — see [`crate::fleet`]. Because the engine
-//! is shared, a fleet run over a materialised copy of the same stream
-//! through [`run_batch`] produces a trace whose fingerprint equals the
-//! fleet run's `trace_hash`.
+//! fold into a [`FleetAccum`] — see [`crate::fleet`]. Both trace forms
+//! share one renderer, [`BatchEvent::write_to`]: the full trace writes
+//! into a `String`, the fleet fold writes into an FNV-1a `fmt::Write`
+//! sink, so no per-line `String` exists. Because the engine is shared, a
+//! fleet run over a materialised copy of the same stream through
+//! [`run_batch`] produces a trace whose fingerprint equals the fleet
+//! run's `trace_hash`.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
+use std::rc::Rc;
 use std::time::Duration;
 
 use cluster::{
@@ -63,7 +75,7 @@ use crate::arrivals::FleetJobs;
 use crate::checkpoint::{BatchCheckpoint, CheckpointPolicy, FleetExtra};
 use crate::discipline::Discipline;
 use crate::fleet::{FleetAccum, FleetConfig, FleetOutcome};
-use crate::index::ReleaseIndex;
+use crate::index::{ReleaseIndex, Width};
 use crate::job::BatchJob;
 use crate::pending::PendingQueue;
 use crate::stats::FleetStats;
@@ -73,15 +85,23 @@ pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// An FNV-1a fold as a `fmt::Write` sink: formatted text folds straight
+/// into the hash, byte by byte, without building a `String`.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
+    }
+}
+
 /// FNV-1a fingerprint of a rendered text blob. Hashing a full rendered
 /// trace with this equals the incremental per-line fold a fleet run keeps.
 pub fn text_fnv1a(text: &str) -> u64 {
-    let mut h = FNV_BASIS;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    simcore::snapshot::fnv1a(text.as_bytes())
 }
 
 /// Batch scheduler configuration.
@@ -243,29 +263,27 @@ pub enum BatchEvent {
     Degraded { t: SimTime, job: u64, reason: &'static str },
 }
 
-/// Exact seconds.nanoseconds rendering of an event timestamp — integer
-/// arithmetic only, so the text is a faithful image of the `SimTime`.
-fn render_t(t: SimTime) -> String {
-    let ns = t.as_nanos();
-    format!("{}.{:09}", ns / 1_000_000_000, ns % 1_000_000_000)
-}
-
 impl BatchEvent {
-    fn render(&self) -> String {
+    /// Render one trace line (without its newline). The timestamp is exact
+    /// seconds.nanoseconds — integer arithmetic only, so the text is a
+    /// faithful image of the `SimTime`.
+    pub fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let ns = event_time(self).as_nanos();
+        write!(out, "{}.{:09} ", ns / 1_000_000_000, ns % 1_000_000_000)?;
         match self {
-            BatchEvent::Submit { t, job, ranks, nodes } => {
-                format!("{} submit job={job} ranks={ranks} nodes={nodes}", render_t(*t))
+            BatchEvent::Submit { job, ranks, nodes, .. } => {
+                write!(out, "submit job={job} ranks={ranks} nodes={nodes}")
             }
-            BatchEvent::Start { t, job, nodes, backfilled } => {
-                format!("{} start job={job} nodes={nodes:?} backfilled={backfilled}", render_t(*t))
+            BatchEvent::Start { job, nodes, backfilled, .. } => {
+                write!(out, "start job={job} nodes={nodes:?} backfilled={backfilled}")
             }
-            BatchEvent::Finish { t, job } => format!("{} finish job={job}", render_t(*t)),
-            BatchEvent::NodeFail { t, node } => format!("{} nodefail node={node}", render_t(*t)),
-            BatchEvent::Requeue { t, job, remaining_iters } => {
-                format!("{} requeue job={job} remaining={remaining_iters}", render_t(*t))
+            BatchEvent::Finish { job, .. } => write!(out, "finish job={job}"),
+            BatchEvent::NodeFail { node, .. } => write!(out, "nodefail node={node}"),
+            BatchEvent::Requeue { job, remaining_iters, .. } => {
+                write!(out, "requeue job={job} remaining={remaining_iters}")
             }
-            BatchEvent::Degraded { t, job, reason } => {
-                format!("{} degraded job={job} reason={reason}", render_t(*t))
+            BatchEvent::Degraded { job, reason, .. } => {
+                write!(out, "degraded job={job} reason={reason}")
             }
         }
     }
@@ -285,27 +303,25 @@ fn event_time(e: &BatchEvent) -> SimTime {
 /// The event log: classic runs keep every event; fleet runs fold each
 /// rendered line (plus its newline) into an FNV-1a fingerprint the moment
 /// it is emitted, so the hash equals [`text_fnv1a`] of the full rendered
-/// trace while holding O(1) memory.
+/// trace while holding O(1) memory. Events arrive by reference: only the
+/// full log copies them.
 pub(crate) enum TraceLog {
     Full(Vec<BatchEvent>),
     Hashing { hash: u64, count: u64, max_t: SimTime },
 }
 
 impl TraceLog {
-    fn push(&mut self, e: BatchEvent) {
+    fn push(&mut self, e: &BatchEvent) {
         match self {
-            TraceLog::Full(v) => v.push(e),
+            TraceLog::Full(v) => v.push(e.clone()),
             TraceLog::Hashing { hash, count, max_t } => {
-                let line = e.render();
-                let mut h = *hash;
-                for b in line.bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-                h ^= u64::from(b'\n');
-                *hash = h.wrapping_mul(FNV_PRIME);
+                let mut h = Fnv1a(*hash);
+                // INVARIANT: the FNV sink never fails.
+                let _ = e.write_to(&mut h);
+                let _ = h.write_char('\n');
+                *hash = h.0;
                 *count += 1;
-                let t = event_time(&e);
+                let t = event_time(e);
                 if t > *max_t {
                     *max_t = t;
                 }
@@ -390,6 +406,12 @@ pub(crate) enum RecordSink {
 }
 
 impl RecordSink {
+    /// Whether records are kept whole. The streaming accumulator reads
+    /// only scalar fields, so per-node images need not be built for it.
+    fn keeps_records(&self) -> bool {
+        matches!(self, RecordSink::Full(_))
+    }
+
     fn put(&mut self, r: JobRecord) {
         match self {
             RecordSink::Full(m) => {
@@ -431,7 +453,8 @@ impl BatchOutcome {
     pub fn render_trace(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.render());
+            // INVARIANT: writing into a `String` never fails.
+            let _ = e.write_to(&mut out);
             out.push('\n');
         }
         out
@@ -443,8 +466,8 @@ impl BatchOutcome {
 }
 
 /// One per-(service key, iterations) kernel measurement, cached by the
-/// oracle.
-#[derive(Clone, Debug)]
+/// oracle and shared (not copied) with every segment that runs it.
+#[derive(Debug)]
 struct SegmentRun {
     placement: Placement,
     node_secs: Vec<f64>,
@@ -463,13 +486,14 @@ struct SegmentRun {
 /// arithmetic read the *exact* durations later admissions will take. Keys
 /// are [`BatchJob::service_key`]: the job id classically, the job class in
 /// fleet streams — which collapses a million-job stream to one
-/// measurement per (class, iterations).
+/// measurement per (class, iterations). Ranks and loads come from the
+/// job's own spec; only the iteration count varies between segments.
 ///
 /// Node runs within a segment are independent and go through the pool;
 /// seeds are forked serially in node order first, so the fork sequence —
 /// part of the determinism contract — never depends on thread scheduling.
 struct Oracle {
-    cache: BTreeMap<(u64, u32), SegmentRun>,
+    cache: BTreeMap<(u64, u32), Rc<SegmentRun>>,
     sched: LocalSched,
     placement: PlacementStrategy,
     shape: FleetShape,
@@ -486,9 +510,10 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn measure(&mut self, key: u64, spec: &JobSpec) -> SegmentRun {
-        if let Some(hit) = self.cache.get(&(key, spec.iterations)) {
-            return hit.clone();
+    /// The measurement of `spec`'s gang over `iterations` iterations.
+    fn measure(&mut self, key: u64, spec: &JobSpec, iterations: u32) -> Rc<SegmentRun> {
+        if let Some(hit) = self.cache.get(&(key, iterations)) {
+            return Rc::clone(hit);
         }
         let nodes_needed = spec.ranks().div_ceil(cluster::placement::NODE_SLOTS);
         // INVARIANT: nodes_needed = ceil(ranks / NODE_SLOTS) always yields
@@ -515,7 +540,6 @@ impl Oracle {
         let sched = self.sched;
         let fleet_shape = self.shape;
         let verify = self.verify_jobs;
-        let iterations = spec.iterations;
         let abort = self.abort.filter(|a| a.job == key);
         let watchdog = self.policy.timeout.is_some();
         let tasks: Vec<_> = placement
@@ -586,17 +610,17 @@ impl Oracle {
             }
         }
         let slowest = node_secs.iter().cloned().fold(0.0, f64::max);
-        let service = slowest + self.internode_latency * spec.iterations as f64;
-        let run = SegmentRun { placement, node_secs, service, reports, failed };
-        self.cache.insert((key, spec.iterations), run.clone());
+        let service = slowest + self.internode_latency * iterations as f64;
+        let run = Rc::new(SegmentRun { placement, node_secs, service, reports, failed });
+        self.cache.insert((key, iterations), Rc::clone(&run));
         run
     }
 
-    fn service(&mut self, key: u64, spec: &JobSpec) -> f64 {
-        if let Some(hit) = self.cache.get(&(key, spec.iterations)) {
+    fn service(&mut self, key: u64, spec: &JobSpec, iterations: u32) -> f64 {
+        if let Some(hit) = self.cache.get(&(key, iterations)) {
             return hit.service;
         }
-        self.measure(key, spec).service
+        self.measure(key, spec, iterations).service
     }
 }
 
@@ -605,9 +629,11 @@ impl Oracle {
 #[derive(Clone, Debug)]
 pub(crate) struct Tracker {
     pub(crate) job: BatchJob,
-    /// The spec of the next (or currently running) segment; iterations
-    /// shrink when a node failure forces a requeue.
-    pub(crate) remaining: JobSpec,
+    /// Iterations of the next (or currently running) segment of
+    /// `job.spec`; they shrink when a node failure forces a requeue. The
+    /// wire format images this as a full spec (`job.spec` with these
+    /// iterations).
+    pub(crate) remaining_iters: u32,
     pub(crate) first_start: Option<SimTime>,
     pub(crate) node_secs_held: f64,
     pub(crate) run_secs: f64,
@@ -619,42 +645,53 @@ pub(crate) struct Tracker {
     pub(crate) failure: Option<(usize, u32)>,
 }
 
-/// One admitted segment occupying nodes. Checkpoints store only
-/// `(id, nodes, start, end)`: the attached [`SegmentRun`] re-derives from
+/// One admitted segment occupying nodes, owned by the running map under
+/// its `(end, admission seq)` key. Checkpoints store only
+/// `(id, nodes, start, end)`: the shared [`SegmentRun`] re-derives from
 /// the pure, memoized oracle on resume.
 struct Running {
     id: u64,
     nodes: Vec<usize>,
     start: SimTime,
-    end: SimTime,
-    run: SegmentRun,
+    run: Rc<SegmentRun>,
 }
 
-/// The node fleet. `up`/`busy` are the checkpoint image; the free set and
-/// alive count are derived views kept in lockstep so allocation is
-/// O(width · log n) instead of an O(n) scan per decision.
+impl Width for Running {
+    fn width(&self) -> usize {
+        self.nodes.len()
+    }
+}
+
+/// The node fleet. `up`/`busy` are the checkpoint image; the free bitset
+/// (bit `n % 64` of word `n / 64` set iff node `n` is up and idle), its
+/// population count and the alive count are derived views kept in
+/// lockstep, so allocation scans words instead of nodes.
 pub(crate) struct Fleet {
     pub(crate) up: Vec<bool>,
     pub(crate) busy: Vec<bool>,
-    free: std::collections::BTreeSet<usize>,
+    free: Vec<u64>,
+    free_count: usize,
     alive: usize,
 }
 
 impl Fleet {
     fn new(n: usize) -> Fleet {
-        Fleet {
-            up: vec![true; n],
-            busy: vec![false; n],
-            free: (0..n).collect(),
-            alive: n,
-        }
+        Fleet::from_images(vec![true; n], vec![false; n])
     }
 
     /// Rebuild the derived views from checkpoint images.
     fn from_images(up: Vec<bool>, busy: Vec<bool>) -> Fleet {
-        let free = (0..up.len()).filter(|&n| up[n] && !busy[n]).collect();
-        let alive = up.iter().filter(|&&u| u).count();
-        Fleet { up, busy, free, alive }
+        let mut fleet = Fleet {
+            free: vec![0; up.len().div_ceil(64)],
+            free_count: 0,
+            alive: up.iter().filter(|&&u| u).count(),
+            up,
+            busy,
+        };
+        for n in 0..fleet.up.len() {
+            fleet.set_free(n, fleet.up[n] && !fleet.busy[n]);
+        }
+        fleet
     }
 
     fn alive(&self) -> usize {
@@ -662,24 +699,46 @@ impl Fleet {
     }
 
     fn free_count(&self) -> usize {
-        self.free.len()
+        self.free_count
     }
 
     /// The first `need` free node ids, in node-id order — the same ids a
     /// full scan used to return.
     fn first_free(&self, need: usize) -> Vec<usize> {
-        self.free.iter().copied().take(need).collect()
+        let mut out = Vec::with_capacity(need);
+        for (i, &word) in self.free.iter().enumerate() {
+            let mut w = word;
+            while w != 0 && out.len() < need {
+                out.push(i * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+            if out.len() == need {
+                break;
+            }
+        }
+        out
+    }
+
+    fn set_free(&mut self, n: usize, free: bool) {
+        let (word, bit) = (&mut self.free[n / 64], 1u64 << (n % 64));
+        if free && *word & bit == 0 {
+            *word |= bit;
+            self.free_count += 1;
+        } else if !free && *word & bit != 0 {
+            *word &= !bit;
+            self.free_count -= 1;
+        }
     }
 
     fn occupy(&mut self, n: usize) {
         self.busy[n] = true;
-        self.free.remove(&n);
+        self.set_free(n, false);
     }
 
     fn release(&mut self, n: usize) {
         self.busy[n] = false;
         if self.up[n] {
-            self.free.insert(n);
+            self.set_free(n, true);
         }
     }
 
@@ -687,7 +746,7 @@ impl Fleet {
         if self.up[n] {
             self.up[n] = false;
             self.alive -= 1;
-            self.free.remove(&n);
+            self.set_free(n, false);
         }
     }
 }
@@ -771,10 +830,10 @@ pub(crate) struct EngineState {
     pub(crate) fleet: Fleet,
     pub(crate) trackers: BTreeMap<u64, Tracker>,
     pub(crate) pending: PendingQueue,
-    /// Admission sequence → running segment; iteration order is admission
-    /// order, which the release index's tie-break mirrors.
-    running: BTreeMap<u64, Running>,
-    release: ReleaseIndex,
+    /// Running segments keyed `(end, admission seq)`.
+    running: ReleaseIndex<Running>,
+    /// Scratch for the segments one event releases, reused across events.
+    released: Vec<(u64, Running)>,
     next_seq: u64,
     pub(crate) trace: TraceLog,
     pub(crate) reservations: ReservationLog,
@@ -828,8 +887,8 @@ fn init_state(
         fleet: Fleet::new(cfg.num_nodes),
         trackers: BTreeMap::new(),
         pending: PendingQueue::new(),
-        running: BTreeMap::new(),
-        release: ReleaseIndex::new(),
+        running: ReleaseIndex::new(),
+        released: Vec::new(),
         next_seq: 0,
         trace: TraceLog::Full(Vec::new()),
         reservations: ReservationLog::Full(BTreeMap::new()),
@@ -854,8 +913,8 @@ fn init_fleet_state(cfg: &FleetConfig, _ctr: &Counters) -> EngineState {
         fleet: Fleet::new(cfg.batch.num_nodes),
         trackers: BTreeMap::new(),
         pending: PendingQueue::new(),
-        running: BTreeMap::new(),
-        release: ReleaseIndex::new(),
+        running: ReleaseIndex::new(),
+        released: Vec::new(),
         next_seq: 0,
         trace: TraceLog::Hashing { hash: FNV_BASIS, count: 0, max_t: SimTime::ZERO },
         reservations: ReservationLog::Count { count: 0, last: None },
@@ -886,7 +945,7 @@ fn run_engine(
         }
         schedule(cfg, oracle, ctr, st);
 
-        let next_finish = st.release.next_release().unwrap_or(SimTime::MAX);
+        let next_finish = st.running.next_release().unwrap_or(SimTime::MAX);
         let next_arrival = st.source.peek_arrival().unwrap_or(SimTime::MAX);
         if next_finish == SimTime::MAX && next_arrival == SimTime::MAX {
             return false;
@@ -894,23 +953,24 @@ fn run_engine(
         st.now = next_finish.min(next_arrival);
 
         // Completions first (freeing nodes for same-instant arrivals), in
-        // id order for determinism. Timestamps are exact nanoseconds, so
-        // "same instant" is integer equality.
-        let released = st.release.pop_released(st.now);
-        let mut finished: Vec<Running> =
-            released.iter().filter_map(|seq| st.running.remove(seq)).collect();
-        finished.sort_by_key(|r| r.id);
-        for seg in finished {
+        // id order for determinism (a job runs at most one segment, so ids
+        // are unique). Timestamps are exact nanoseconds, so "same instant"
+        // is integer equality.
+        let mut released = std::mem::take(&mut st.released);
+        st.running.pop_released(st.now, &mut released);
+        released.sort_unstable_by_key(|(_, seg)| seg.id);
+        for (_, seg) in released.drain(..) {
             complete(seg, oracle, ctr, st);
             st.completions += 1;
             maybe_fire_fault(cfg, oracle, ctr, st);
         }
+        st.released = released;
 
         while st.source.peek_arrival().is_some_and(|t| t <= st.now) {
             // INVARIANT: guarded by the is_some_and above.
             let job = st.source.pop().expect("peeked arrival present");
             ctr.submitted.inc();
-            st.trace.push(BatchEvent::Submit {
+            st.trace.push(&BatchEvent::Submit {
                 t: st.now,
                 job: job.id,
                 ranks: job.spec.ranks(),
@@ -918,12 +978,11 @@ fn run_engine(
             });
             let id = job.id;
             let need = job.nodes_needed();
-            let remaining = job.spec.clone();
             st.trackers.insert(
                 id,
                 Tracker {
+                    remaining_iters: job.spec.iterations,
                     job,
-                    remaining,
                     first_start: None,
                     node_secs_held: 0.0,
                     run_secs: 0.0,
@@ -961,9 +1020,9 @@ fn finish_outcome(
     let mut conformance: Vec<(u64, Report)> = Vec::new();
     if cfg.verify_jobs {
         for (key, spec) in &st.conformance_src {
-            let run = oracle.measure(*key, spec);
-            for rep in run.reports {
-                conformance.push((*key, rep));
+            let run = oracle.measure(*key, spec, spec.iterations);
+            for rep in &run.reports {
+                conformance.push((*key, rep.clone()));
             }
         }
     }
@@ -1233,11 +1292,12 @@ fn capture(cfg: &BatchConfig, st: &EngineState, queue_peak: i64) -> BatchCheckpo
         },
         queue: st.pending.iter().collect(),
         trackers: st.trackers.clone(),
-        running: st
-            .running
-            .values()
-            .map(|r| (r.id, r.nodes.clone(), r.start, r.end))
-            .collect(),
+        running: {
+            // Image in admission order, so resume re-derives the same seqs.
+            let mut segs: Vec<_> = st.running.iter().collect();
+            segs.sort_unstable_by_key(|&(_, seq, _)| seq);
+            segs.into_iter().map(|(end, _, r)| (r.id, r.nodes.clone(), r.start, end)).collect()
+        },
         events: match &st.trace {
             TraceLog::Full(v) => v.clone(),
             TraceLog::Hashing { .. } => Vec::new(),
@@ -1311,21 +1371,16 @@ fn restore_engine(
     sink: RecordSink,
 ) -> EngineState {
     let trackers = ckpt.trackers.clone();
-    let mut running: BTreeMap<u64, Running> = BTreeMap::new();
-    let mut release = ReleaseIndex::new();
+    let mut running = ReleaseIndex::new();
     let mut next_seq = 0u64;
-    // Segments without a tracker cannot exist in a checksummed
-    // checkpoint; they are skipped rather than unwrapped.
+    // Decoding rejects segments without a tracker; they are skipped here
+    // rather than unwrapped.
     for (id, nodes, start, end) in &ckpt.running {
         if let Some(tr) = trackers.get(id) {
-            let run = oracle.measure(tr.job.service_key(), &tr.remaining);
-            let seq = next_seq;
+            let run = oracle.measure(tr.job.service_key(), &tr.job.spec, tr.remaining_iters);
+            let seg = Running { id: *id, nodes: nodes.clone(), start: *start, run };
+            running.insert(next_seq, *end, seg);
             next_seq += 1;
-            release.insert(seq, *end, nodes.len());
-            running.insert(
-                seq,
-                Running { id: *id, nodes: nodes.clone(), start: *start, end: *end, run },
-            );
         }
     }
     let mut pending = PendingQueue::new();
@@ -1344,7 +1399,7 @@ fn restore_engine(
         trackers,
         pending,
         running,
-        release,
+        released: Vec::new(),
         next_seq,
         trace,
         reservations,
@@ -1389,7 +1444,7 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     for &n in &seg.nodes {
         st.fleet.release(n);
     }
-    st.trace.push(BatchEvent::Finish { t: now, job: seg.id });
+    st.trace.push(&BatchEvent::Finish { t: now, job: seg.id });
     ctr.completed.inc();
     let Some(mut tr) = st.trackers.remove(&seg.id) else {
         // INVARIANT: every running segment has a tracker; nothing to do
@@ -1399,11 +1454,12 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     let ran = now.saturating_since(seg.start).as_secs_f64();
     tr.node_secs_held += ran * seg.nodes.len() as f64;
     tr.run_secs += ran;
-    tr.iters_done += tr.remaining.iterations;
-    let full_service = oracle.service(tr.job.service_key(), &tr.job.spec);
+    tr.iters_done += tr.remaining_iters;
+    let full_service = oracle.service(tr.job.service_key(), &tr.job.spec, tr.job.spec.iterations);
     let first_start = tr.first_start.unwrap_or(seg.start);
-    let wait = first_start.saturating_since(arrival_time(&tr.job)).as_secs_f64();
-    let turnaround = now.saturating_since(arrival_time(&tr.job)).as_secs_f64();
+    let arrival = arrival_time(&tr.job);
+    let wait = first_start.saturating_since(arrival).as_secs_f64();
+    let turnaround = now.saturating_since(arrival).as_secs_f64();
     let slowdown = if full_service > 0.0 { turnaround / full_service } else { 1.0 };
     ctr.wait_us.record((wait * 1e6) as u64);
     ctr.turnaround_us.record((turnaround * 1e6) as u64);
@@ -1412,11 +1468,19 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     if tr.backfilled {
         ctr.backfilled.inc();
     }
+    // The per-node image is copied out of the shared measurement only for
+    // kept records; the streaming accumulator never reads it.
+    let (placement, node_secs) = if st.sink.keeps_records() {
+        (seg.run.placement.clone(), seg.run.node_secs.clone())
+    } else {
+        (Placement { strategy: seg.run.placement.strategy, nodes: Vec::new() }, Vec::new())
+    };
+    let ranks = tr.job.spec.ranks();
     st.sink.put(JobRecord {
         id: seg.id,
-        name: tr.job.spec.name.clone(),
-        ranks: tr.job.spec.ranks(),
-        arrival: arrival_time(&tr.job).as_secs_f64(),
+        name: tr.job.spec.name,
+        ranks,
+        arrival: arrival.as_secs_f64(),
         first_start: Some(first_start.as_secs_f64()),
         end: now.as_secs_f64(),
         wait,
@@ -1426,11 +1490,7 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
         requeues: tr.requeues,
         node_secs_held: tr.node_secs_held,
         outcome: ClusterOutcome {
-            result: ClusterResult {
-                placement: seg.run.placement,
-                node_secs: seg.run.node_secs,
-                makespan: tr.run_secs,
-            },
+            result: ClusterResult { placement, node_secs, makespan: tr.run_secs },
             failure: tr.failure.map(|(node, at)| NodeFailureRecord {
                 node,
                 at_iteration: at,
@@ -1456,23 +1516,23 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     }
     st.fleet.kill(f.node);
     ctr.nodes_failed.inc();
-    st.trace.push(BatchEvent::NodeFail { t: st.now, node: f.node });
+    st.trace.push(&BatchEvent::NodeFail { t: st.now, node: f.node });
 
-    // First victim in admission order — the same segment the old linear
-    // scan over the admission-ordered running list found.
+    // First victim in admission order (least seq) — the same segment the
+    // old linear scan over the admission-ordered running list found.
     let hit = st
         .running
         .iter()
-        .find(|(_, r)| r.nodes.contains(&f.node))
-        .map(|(&seq, _)| seq);
-    let Some(seq) = hit else {
+        .filter(|(_, _, r)| r.nodes.contains(&f.node))
+        .min_by_key(|&(_, seq, _)| seq)
+        .map(|(end, seq, _)| (end, seq));
+    let Some((end, seq)) = hit else {
         return;
     };
-    let Some(seg) = st.running.remove(&seq) else {
-        // INVARIANT: seq was just found in the map.
+    let Some(seg) = st.running.remove(end, seq) else {
+        // INVARIANT: (end, seq) was just found in the map.
         return;
     };
-    st.release.remove(seq);
     for &n in &seg.nodes {
         st.fleet.release(n);
     }
@@ -1484,8 +1544,8 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     let elapsed = now.saturating_since(seg.start).as_secs_f64();
     tr.node_secs_held += elapsed * seg.nodes.len() as f64;
     tr.run_secs += elapsed;
-    let iters = tr.remaining.iterations;
-    let span = seg.end.saturating_since(seg.start).as_secs_f64();
+    let iters = tr.remaining_iters;
+    let span = end.saturating_since(seg.start).as_secs_f64();
     let frac = if span > 0.0 { elapsed / span } else { 0.0 };
     let iters_done = ((frac * iters as f64) as u32).min(iters.saturating_sub(1));
     tr.iters_done += iters_done;
@@ -1498,11 +1558,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
         degrade(seg.id, "retries-exhausted", ctr, st);
         return;
     }
-    tr.remaining = JobSpec::new(
-        tr.job.spec.name.clone(),
-        tr.job.spec.rank_loads.clone(),
-        remaining_iters,
-    );
+    tr.remaining_iters = remaining_iters;
     tr.restart_due = f.restart_secs;
     let need = tr.job.nodes_needed();
     if cfg.discipline == Discipline::Sjf {
@@ -1513,7 +1569,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     } else {
         st.pending.push_front(seg.id, need);
     }
-    st.trace.push(BatchEvent::Requeue { t: now, job: seg.id, remaining_iters });
+    st.trace.push(&BatchEvent::Requeue { t: now, job: seg.id, remaining_iters });
 }
 
 fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState) {
@@ -1522,7 +1578,7 @@ fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState) 
         return;
     };
     ctr.degraded.inc();
-    st.trace.push(BatchEvent::Degraded { t: st.now, job: id, reason });
+    st.trace.push(&BatchEvent::Degraded { t: st.now, job: id, reason });
     let n = tr.job.nodes_needed().min(st.fleet.up.len().max(1));
     st.sink.put(JobRecord {
         id,
@@ -1578,7 +1634,7 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
         }
         st.pending.remove(head);
         let alloc = st.fleet.first_free(need);
-        admit(head, &alloc, false, cfg, oracle, ctr, st);
+        admit(head, alloc, false, cfg, oracle, ctr, st);
     }
 
     if cfg.discipline != Discipline::Easy || st.pending.is_empty() {
@@ -1591,7 +1647,7 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
     let Some(head) = st.pending.first() else { return };
     let head_need = st.trackers.get(&head).map_or(0, |t| t.job.nodes_needed());
     let mut free = st.fleet.free_count();
-    let Some((shadow, avail)) = st.release.shadow(free, head_need) else {
+    let Some((shadow, avail)) = st.running.shadow(free, head_need) else {
         // Head cannot be satisfied even when everything drains — it would
         // have been dropped as unplaceable above; leave the queue alone.
         return;
@@ -1601,9 +1657,8 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
     let mut spare = avail - head_need;
 
     let window = cfg.backfill_window.unwrap_or(usize::MAX);
-    let candidates: Vec<u64> = st.pending.iter().skip(1).take(window).collect();
     let mut admitted: Vec<u64> = Vec::new();
-    for id in candidates {
+    for id in st.pending.iter().skip(1).take(window) {
         let Some(tr) = st.trackers.get(&id) else { continue };
         let need = tr.job.nodes_needed();
         if need > free {
@@ -1627,7 +1682,7 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
         st.pending.remove(id);
         let need = st.trackers.get(&id).map_or(0, |t| t.job.nodes_needed());
         let alloc = st.fleet.first_free(need);
-        admit(id, &alloc, true, cfg, oracle, ctr, st);
+        admit(id, alloc, true, cfg, oracle, ctr, st);
     }
 }
 
@@ -1636,12 +1691,14 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
 fn queued_service(oracle: &mut Oracle, trackers: &BTreeMap<u64, Tracker>, id: u64) -> f64 {
     trackers
         .get(&id)
-        .map_or(0.0, |t| oracle.service(t.job.service_key(), &t.remaining) + t.restart_due)
+        .map_or(0.0, |t| {
+            oracle.service(t.job.service_key(), &t.job.spec, t.remaining_iters) + t.restart_due
+        })
 }
 
 fn admit(
     id: u64,
-    alloc: &[usize],
+    alloc: Vec<usize>,
     backfilled: bool,
     cfg: &BatchConfig,
     oracle: &mut Oracle,
@@ -1654,7 +1711,7 @@ fn admit(
             // always have trackers.
             return;
         };
-        oracle.measure(tr.job.service_key(), &tr.remaining)
+        oracle.measure(tr.job.service_key(), &tr.job.spec, tr.remaining_iters)
     };
     if let Some(reason) = run.failed {
         // The supervisor gave up on this job's kernel measurement
@@ -1672,7 +1729,8 @@ fn admit(
         // Record the *source* of the conformance check, not the reports:
         // the oracle is pure and memoized, so reports re-derive at outcome
         // build — which keeps checkpoints free of report payloads.
-        st.conformance_src.push((tr.job.service_key(), tr.remaining.clone()));
+        // No requeue yet, so the segment is the whole job.
+        st.conformance_src.push((tr.job.service_key(), tr.job.spec.clone()));
     }
     let service = run.service + tr.restart_due;
     tr.restart_due = 0.0;
@@ -1682,13 +1740,98 @@ fn admit(
     if backfilled {
         tr.backfilled = true;
     }
-    for &n in alloc {
+    for &n in &alloc {
         st.fleet.occupy(n);
     }
-    st.trace.push(BatchEvent::Start { t: now, job: id, nodes: alloc.to_vec(), backfilled });
+    // The event borrows the allocation for the trace, then hands it on to
+    // the running segment.
+    let start = BatchEvent::Start { t: now, job: id, nodes: alloc, backfilled };
+    st.trace.push(&start);
+    let BatchEvent::Start { nodes, .. } = start else {
+        // INVARIANT: built as a Start just above.
+        return;
+    };
     let end = now + SimDuration::from_secs_f64(service);
     let seq = st.next_seq;
     st.next_seq += 1;
-    st.release.insert(seq, end, alloc.len());
-    st.running.insert(seq, Running { id, nodes: alloc.to_vec(), start: now, end, run });
+    st.running.insert(seq, end, Running { id, nodes, start: now, run });
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    /// The pool the bitset replaced: an ordered set of up, idle node ids.
+    struct RefFleet {
+        up: Vec<bool>,
+        busy: Vec<bool>,
+        free: BTreeSet<usize>,
+    }
+
+    impl RefFleet {
+        fn first_free(&self, need: usize) -> Vec<usize> {
+            self.free.iter().copied().take(need).collect()
+        }
+        fn occupy(&mut self, n: usize) {
+            self.busy[n] = true;
+            self.free.remove(&n);
+        }
+        fn release(&mut self, n: usize) {
+            self.busy[n] = false;
+            if self.up[n] {
+                self.free.insert(n);
+            }
+        }
+        fn kill(&mut self, n: usize) {
+            self.up[n] = false;
+            self.free.remove(&n);
+        }
+    }
+
+    /// Seeded occupy/release/kill sequences, driven the way the engine
+    /// drives the pool: allocations take the first free ids, releases and
+    /// kills may hit busy, idle or dead nodes.
+    #[test]
+    fn bitset_pool_matches_the_ordered_set_it_replaced() {
+        for size in [1usize, 63, 64, 65, 1000] {
+            let mut rng = SplitMix64::new(0xf1ee7 ^ size as u64);
+            let mut fleet = Fleet::new(size);
+            let mut reference = RefFleet {
+                up: vec![true; size],
+                busy: vec![false; size],
+                free: (0..size).collect(),
+            };
+            for step in 0..4 * size.max(64) {
+                let n = (rng.next_u64() % size as u64) as usize;
+                match rng.next_u64() % 8 {
+                    0..=3 => {
+                        let need = 1 + (rng.next_u64() % 16) as usize;
+                        let got = fleet.first_free(need);
+                        assert_eq!(got, reference.first_free(need), "size {size} step {step}");
+                        for &m in &got {
+                            fleet.occupy(m);
+                            reference.occupy(m);
+                        }
+                    }
+                    4..=6 => {
+                        fleet.release(n);
+                        reference.release(n);
+                    }
+                    _ => {
+                        fleet.kill(n);
+                        reference.kill(n);
+                    }
+                }
+                assert_eq!(fleet.free_count(), reference.free.len(), "size {size} step {step}");
+                let all = (fleet.first_free(size), reference.first_free(size));
+                assert_eq!(all.0, all.1, "size {size} step {step}");
+                assert_eq!(fleet.alive(), reference.up.iter().filter(|&&u| u).count());
+            }
+            let rebuilt = Fleet::from_images(fleet.up.clone(), fleet.busy.clone());
+            assert_eq!(rebuilt.first_free(size), reference.first_free(size), "size {size} image");
+            assert_eq!(rebuilt.free_count(), reference.free.len());
+        }
+    }
 }

@@ -2,8 +2,8 @@
 //! degradation, and per-job kernel conformance.
 
 use batchsim::{
-    heavy_light_mix, run_batch, BatchConfig, BatchEvent, BatchFault, BatchJob, Discipline,
-    FleetStats,
+    heavy_light_mix, run_batch, run_batch_until, run_fleet, text_fnv1a, BatchConfig, BatchEvent,
+    BatchFault, BatchJob, Discipline, FleetConfig, FleetStats, FleetStreamConfig,
 };
 use cluster::{JobSpec, LocalSched};
 use faultsim::TaskAbortSpec;
@@ -264,4 +264,87 @@ fn mixed_fleet_checkpoint_resumes_byte_identically() {
     let resumed = resume_batch(&ckpt);
     assert_eq!(resumed.render_trace(), full.render_trace());
     assert_eq!(resumed.metrics, full.metrics);
+}
+
+/// The trace contract of the engine's running-segment, node-pool and
+/// trace-hash paths, pinned as fingerprints: a victim chosen by admission
+/// order and requeued under every discipline, an EASY shadow over equal
+/// completion instants, node ids of a 200-node fleet run, and the
+/// checkpoint wire image of a cut holding a requeued tracker.
+#[test]
+fn engine_trace_contract_is_pinned() {
+    let jobs = heavy_light_mix(2008, 40);
+    let fault = BatchFault { node: 2, after_completions: 5, max_retries: 2, restart_secs: 0.5 };
+    let faulted = [
+        (Discipline::Fcfs, 0x2687_ef76_7351_931bu64),
+        (Discipline::Sjf, 0xd69b_3a40_81d3_8d1d),
+        (Discipline::Easy, 0x09c9_0d5a_7086_baec),
+    ];
+    let mut easy_requeue_at = usize::MAX;
+    for (discipline, want) in faulted {
+        let out = run_batch(&jobs, &cfg(discipline), Some(&fault));
+        let requeue = out.events.iter().position(|e| matches!(e, BatchEvent::Requeue { .. }));
+        assert!(requeue.is_some(), "{discipline:?}: the fault must requeue its victim");
+        if discipline == Discipline::Easy {
+            easy_requeue_at = requeue.unwrap_or(usize::MAX);
+        }
+        let got = text_fnv1a(&out.render_trace());
+        assert_eq!(got, want, "{discipline:?} faulted trace");
+    }
+
+    // Two gangs of equal service but different widths (1 and 2 nodes)
+    // finish at the same instant. The 3-node head's shadow walk must take
+    // them in admission order: 1 free + 1 + 2 leaves one spare node, which
+    // lets the long 1-node job backfill past the shadow. The other tie
+    // order would leave no spare and no backfill.
+    let tie = |id: u64, ranks: usize, iters: u32, arrival: f64, class: u64| BatchJob {
+        class: Some(class),
+        ..BatchJob::new(id, JobSpec::new(format!("t{id}"), vec![0.05; ranks], iters), arrival)
+    };
+    let tied = vec![
+        tie(0, 4, 3, 0.0, 1),
+        tie(1, 8, 3, 0.0, 5),
+        tie(2, 12, 2, 0.001, 2),
+        tie(3, 4, 9, 0.002, 4),
+        tie(4, 4, 1, 0.003, 3),
+    ];
+    let out = run_batch(&tied, &cfg(Discipline::Easy), None);
+    let finish_at = |job: u64| {
+        out.events.iter().find_map(|e| match e {
+            BatchEvent::Finish { t, job: j } if *j == job => Some(*t),
+            _ => None,
+        })
+    };
+    assert_eq!(finish_at(0), finish_at(1), "the two gangs must finish together");
+    assert!(
+        out.events.iter().any(|e| matches!(e, BatchEvent::Start { job: 3, backfilled: true, .. })),
+        "the spare node must backfill the long job"
+    );
+    let got = text_fnv1a(&out.render_trace());
+    assert_eq!(got, 0x85b4_1283_79c0_66bb, "EASY trace over tied completions");
+
+    let fleet = FleetConfig {
+        stream: FleetStreamConfig {
+            seed: 2008,
+            jobs: 2_000,
+            classes: 24,
+            mean_interarrival: 0.0045,
+        },
+        batch: BatchConfig {
+            num_nodes: 200,
+            discipline: Discipline::Easy,
+            backfill_window: Some(64),
+            ..BatchConfig::default()
+        },
+    };
+    let got = run_fleet(&fleet).trace_hash;
+    assert_eq!(got, 0x1a0f_621d_35ac_5b9e, "2000-job fleet trace");
+
+    // A cut after the requeue images a tracker whose remaining segment is
+    // shorter than its job.
+    assert!(easy_requeue_at < 23, "the cut must follow the requeue");
+    let ckpt = run_batch_until(&jobs, &cfg(Discipline::Easy), Some(&fault), 23)
+        .expect("the stream outlives the cut");
+    let got = simcore::snapshot::fnv1a(&ckpt.encode());
+    assert_eq!(got, 0xd3d9_0999_80f3_e408, "checkpoint wire image");
 }

@@ -3,8 +3,9 @@
 //!
 //! The old engine recomputed every shadow time by sorting a vector of
 //! running-job release times and walking it — O(n log n) per scheduling
-//! decision. The `ReleaseIndex` keeps `(end, seq)` in a BTreeSet so one
-//! decision walks at most `need` entries of an already-ordered set:
+//! decision. The `ReleaseIndex` keeps running segments in a BTreeMap keyed
+//! `(end, seq)` so one decision walks at most `need` entries of an
+//! already-ordered map:
 //! O(log n + need). These groups pin the gap at 1k/10k/100k running jobs.
 
 use batchsim::{heavy_light_mix, run_batch, BatchConfig, ReleaseIndex};
@@ -63,7 +64,9 @@ fn bench_reservation_index(c: &mut Criterion) {
             b.iter(|| {
                 // Steady state: one job finishes, one is admitted, one
                 // shadow query — the per-decision pattern of the engine.
-                index.remove(seq - n);
+                let old = seq - n;
+                let h_old = old.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+                index.remove(SimTime(1_000_000 + h_old % 10_000_000), old);
                 let h = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
                 index.insert(seq, SimTime(1_000_000 + h % 10_000_000), 1 + (h % 32) as usize);
                 seq += 1;

@@ -11,14 +11,19 @@
 //!   `(config, index)`; checkpoints image it as `(config, count)` and
 //!   replay it forward on resume;
 //! * **trace** — folded event-by-event into an FNV-1a fingerprint (the
-//!   hash of the rendered trace, never the trace itself), so the
-//!   serial-vs-parallel byte-identity gate still holds at any scale;
+//!   hash of the rendered trace, never the trace itself): each event
+//!   renders through [`batchsim::BatchEvent::write_to`] straight into the
+//!   hash, with no per-line `String`, so the serial-vs-parallel
+//!   byte-identity gate still holds at any scale;
 //! * **statistics** — [`FleetAccum`] scalar sums/counts/maxima plus the
 //!   telemetry log2 histograms, enforced O(1)-memory by simverify rule
 //!   SV014;
-//! * **backfill** — the engine's [`ReleaseIndex`] interval index makes
-//!   every EASY shadow computation O(log n) in running jobs instead of a
-//!   linear reservation scan.
+//! * **backfill** — running segments live in one [`ReleaseIndex`] map
+//!   keyed `(end, admission seq)`: the next release is its first key and
+//!   every EASY shadow computation is O(log n + need) in running jobs
+//!   instead of a linear reservation scan;
+//! * **node pool** — free nodes are a `u64` bitset with a maintained
+//!   count, so an allocation scans words, lowest ids first.
 //!
 //! Determinism contract: a fleet run is a pure function of its
 //! [`FleetConfig`] — same config, same trace hash, byte for byte, at any
