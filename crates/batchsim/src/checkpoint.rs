@@ -294,6 +294,20 @@ impl BatchCheckpoint {
         for (_, spec) in &self.conformance_src {
             check_spec(spec)?;
         }
+        if let Some(extra) = &self.fleet {
+            if extra.popped > extra.stream.jobs {
+                return Err(SnapshotError::Malformed("generator position past the stream end"));
+            }
+            let gap = extra.stream.mean_interarrival;
+            if !(gap.is_finite() && gap > 0.0) {
+                return Err(SnapshotError::Malformed("interarrival is not positive and finite"));
+            }
+            // Fleet job ids are stream indices, so every tracked job (and
+            // with it every running and queued one) was already handed out.
+            if self.trackers.last_key_value().is_some_and(|(&id, _)| id >= extra.popped) {
+                return Err(SnapshotError::Malformed("job id not yet handed out by the stream"));
+            }
+        }
         Ok(())
     }
 }
@@ -757,7 +771,11 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::arrivals::heavy_light_mix;
-    use crate::sim::{resume_batch, run_batch, run_batch_checkpointed, run_batch_until};
+    use crate::fleet::FleetConfig;
+    use crate::sim::{
+        resume_batch, resume_fleet, run_batch, run_batch_checkpointed, run_batch_until, run_fleet,
+        run_fleet_until,
+    };
 
     fn cfg() -> BatchConfig {
         BatchConfig { discipline: Discipline::Easy, threads: 2, ..BatchConfig::default() }
@@ -864,6 +882,57 @@ mod tests {
         for (what, edit) in edits {
             let mut bad = ckpt.clone();
             edit(&mut bad);
+            assert_malformed(&bad, what);
+        }
+    }
+
+    fn fleet_cfg() -> FleetConfig {
+        FleetConfig {
+            stream: FleetStreamConfig { seed: 7, jobs: 200, classes: 24, mean_interarrival: 0.002 },
+            batch: BatchConfig { num_nodes: 40, ..cfg() },
+        }
+    }
+
+    /// A fleet cut with segments running and jobs queued behind them.
+    fn fleet_cut() -> BatchCheckpoint {
+        const CUT: usize = 40;
+        let ckpt = run_fleet_until(&fleet_cfg(), CUT).expect("the stream outlives the cut");
+        assert!(!ckpt.running.is_empty() && !ckpt.queue.is_empty(), "cut {CUT} is busy");
+        ckpt
+    }
+
+    fn fleet_edit(ckpt: &BatchCheckpoint, edit: impl FnOnce(&mut FleetExtra)) -> BatchCheckpoint {
+        let mut bad = ckpt.clone();
+        edit(bad.fleet.as_mut().expect("a fleet image"));
+        bad
+    }
+
+    #[test]
+    fn decode_rejects_a_generator_past_the_stream_end() {
+        let ckpt = fleet_cut();
+        let resumed = resume_fleet(&BatchCheckpoint::decode(&ckpt.encode()).expect("intact"));
+        assert_eq!(resumed.trace_hash, run_fleet(&fleet_cfg()).trace_hash, "intact cut resumes");
+        let bad = fleet_edit(&ckpt, |x| x.popped = x.stream.jobs + 1);
+        assert_malformed(&bad, "popped past jobs");
+    }
+
+    #[test]
+    fn decode_rejects_an_interarrival_that_is_not_positive_and_finite() {
+        let ckpt = fleet_cut();
+        for gap in [0.0, -0.002, f64::NAN, f64::INFINITY] {
+            let bad = fleet_edit(&ckpt, |x| x.stream.mean_interarrival = gap);
+            assert_malformed(&bad, &format!("interarrival {gap}"));
+        }
+    }
+
+    #[test]
+    fn decode_rejects_job_ids_the_stream_has_not_handed_out() {
+        let ckpt = fleet_cut();
+        let tracked = *ckpt.trackers.keys().next_back().expect("a tracked job");
+        let queued = *ckpt.queue.iter().max().expect("a queued job");
+        let running = ckpt.running.iter().map(|r| r.0).max().expect("a running job");
+        for (what, id) in [("tracker", tracked), ("queued", queued), ("running", running)] {
+            let bad = fleet_edit(&ckpt, |x| x.popped = id);
             assert_malformed(&bad, what);
         }
     }

@@ -67,6 +67,7 @@ use cluster::{
     LocalSched, NodeFailureRecord, NodeShape, Placement, PlacementStrategy, TopoPreset,
 };
 use faultsim::{NodeFailSpec, SplitMix64, TaskAbortSpec};
+use simcore::snapshot::Fnv1a;
 use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
 use simverify::conformance::{check_with_metrics, CheckConfig, Report};
 use telemetry::{MetricsRegistry, MetricsSnapshot};
@@ -79,24 +80,6 @@ use crate::index::{ReleaseIndex, Width};
 use crate::job::BatchJob;
 use crate::pending::PendingQueue;
 use crate::stats::FleetStats;
-
-/// FNV-1a 64-bit offset basis — the trace fingerprint seed.
-pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// An FNV-1a fold as a `fmt::Write` sink: formatted text folds straight
-/// into the hash, byte by byte, without building a `String`.
-struct Fnv1a(u64);
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-}
 
 /// FNV-1a fingerprint of a rendered text blob. Hashing a full rendered
 /// trace with this equals the incremental per-line fold a fleet run keeps.
@@ -307,7 +290,7 @@ fn event_time(e: &BatchEvent) -> SimTime {
 /// full log copies them.
 pub(crate) enum TraceLog {
     Full(Vec<BatchEvent>),
-    Hashing { hash: u64, count: u64, max_t: SimTime },
+    Hashing { hash: Fnv1a, count: u64, max_t: SimTime },
 }
 
 impl TraceLog {
@@ -315,11 +298,9 @@ impl TraceLog {
         match self {
             TraceLog::Full(v) => v.push(e.clone()),
             TraceLog::Hashing { hash, count, max_t } => {
-                let mut h = Fnv1a(*hash);
                 // INVARIANT: the FNV sink never fails.
-                let _ = e.write_to(&mut h);
-                let _ = h.write_char('\n');
-                *hash = h.0;
+                let _ = e.write_to(hash);
+                let _ = hash.write_char('\n');
                 *count += 1;
                 let t = event_time(e);
                 if t > *max_t {
@@ -916,7 +897,7 @@ fn init_fleet_state(cfg: &FleetConfig, _ctr: &Counters) -> EngineState {
         running: ReleaseIndex::new(),
         released: Vec::new(),
         next_seq: 0,
-        trace: TraceLog::Hashing { hash: FNV_BASIS, count: 0, max_t: SimTime::ZERO },
+        trace: TraceLog::Hashing { hash: Fnv1a::default(), count: 0, max_t: SimTime::ZERO },
         reservations: ReservationLog::Count { count: 0, last: None },
         sink: RecordSink::Streaming(FleetAccum::default()),
         conformance_src: Vec::new(),
@@ -1062,10 +1043,10 @@ fn finish_fleet(
     ctr: &Counters,
 ) -> FleetOutcome {
     let (trace_hash, trace_events, max_t) = match st.trace {
-        TraceLog::Hashing { hash, count, max_t } => (hash, count, max_t),
+        TraceLog::Hashing { hash, count, max_t } => (hash.finish(), count, max_t),
         // INVARIANT: fleet runs always hash their trace; fall back to the
         // empty-trace fingerprint for a mismatched caller.
-        TraceLog::Full(_) => (FNV_BASIS, 0, SimTime::ZERO),
+        TraceLog::Full(_) => (Fnv1a::OFFSET_BASIS, 0, SimTime::ZERO),
     };
     let reservations = match st.reservations {
         ReservationLog::Count { count, .. } => count,
@@ -1237,7 +1218,7 @@ pub fn resume_fleet(ckpt: &BatchCheckpoint) -> FleetOutcome {
         let accum = FleetAccum::default();
         return FleetOutcome {
             config_nodes: ckpt.cfg.num_nodes,
-            trace_hash: FNV_BASIS,
+            trace_hash: Fnv1a::OFFSET_BASIS,
             trace_events: 0,
             makespan: 0.0,
             reservations: 0,
@@ -1263,7 +1244,7 @@ pub fn resume_fleet(ckpt: &BatchCheckpoint) -> FleetOutcome {
         &mut oracle,
         JobSource::Stream { gen, next, popped: extra.popped },
         TraceLog::Hashing {
-            hash: extra.trace_hash,
+            hash: Fnv1a::resume(extra.trace_hash),
             count: extra.trace_len,
             max_t: extra.trace_max_t,
         },
@@ -1331,8 +1312,8 @@ fn capture_fleet(
         JobSource::Materialized(_) => 0,
     };
     let (trace_hash, trace_len, trace_max_t) = match &st.trace {
-        TraceLog::Hashing { hash, count, max_t } => (*hash, *count, *max_t),
-        TraceLog::Full(_) => (FNV_BASIS, 0, SimTime::ZERO),
+        TraceLog::Hashing { hash, count, max_t } => (hash.finish(), *count, *max_t),
+        TraceLog::Full(_) => (Fnv1a::OFFSET_BASIS, 0, SimTime::ZERO),
     };
     let (reservation_count, reservation_last) = match &st.reservations {
         ReservationLog::Count { count, last } => (*count, *last),

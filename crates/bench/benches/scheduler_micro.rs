@@ -4,38 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hpcsched::prelude::*;
 use schedsim::program::ScriptedProgram;
-use schedsim::rbtree::RbTree;
 use simcore::EventQueue;
-
-fn bench_rbtree(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rbtree");
-    for n in [16usize, 256, 4096] {
-        g.bench_function(format!("insert_pop_churn_{n}"), |b| {
-            b.iter(|| {
-                let mut t = RbTree::new();
-                for i in 0..n as u64 {
-                    t.insert(((i * 2654435761) % 1_000_003, i));
-                }
-                while let Some(k) = t.pop_min() {
-                    black_box(k);
-                }
-            })
-        });
-    }
-    // Comparison point: std BTreeSet under the same churn.
-    g.bench_function("std_btreeset_churn_256", |b| {
-        b.iter(|| {
-            let mut t = std::collections::BTreeSet::new();
-            for i in 0..256u64 {
-                t.insert(((i * 2654435761) % 1_000_003, i));
-            }
-            while let Some(k) = t.pop_first() {
-                black_box(k);
-            }
-        })
-    });
-    g.finish();
-}
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -135,6 +104,30 @@ fn bench_kernel_paths(c: &mut Criterion) {
         })
     });
 
+    // The CFS run queue under load: sixteen endless tasks of 0.5 ms compute
+    // segments on the 4-CPU OpenPower 710, so every CPU keeps about three
+    // tasks queued behind the running one and each step inserts, pops or
+    // steals on a non-empty queue (10,000 steps).
+    g.bench_function("cfs_oversubscribed_16on4", |b| {
+        b.iter(|| {
+            let mut k = KernelBuilder::new().build();
+            for i in 0..16 {
+                k.spawn(
+                    format!("t{i}"),
+                    SchedPolicy::Normal,
+                    Box::new(schedsim::program::FnProgram(|_: &mut KernelApi<'_>| {
+                        Action::Compute(0.0005)
+                    })),
+                    SpawnOptions::default(),
+                );
+            }
+            for _ in 0..10_000 {
+                k.step();
+            }
+            black_box(k.metrics().context_switches)
+        })
+    });
+
     // Wakeup → priority decision → dispatch: an HPC ping-pong pair.
     g.bench_function("hpc_iteration_pipeline_64_iters", |b| {
         b.iter(|| {
@@ -171,5 +164,5 @@ fn bench_kernel_paths(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rbtree, bench_event_queue, bench_kernel_paths);
+criterion_group!(benches, bench_event_queue, bench_kernel_paths);
 criterion_main!(benches);

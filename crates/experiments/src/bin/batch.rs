@@ -39,8 +39,8 @@ use std::time::Instant;
 
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_checkpointed, run_batch_until,
-    BatchConfig, BatchFault, BatchOutcome, CheckpointPolicy, CheckpointStore, Discipline,
-    FleetShape, FleetStats,
+    text_fnv1a, BatchConfig, BatchFault, BatchOutcome, CheckpointPolicy, CheckpointStore,
+    Discipline, FleetShape, FleetStats,
 };
 use cluster::LocalSched;
 use experiments::benchfile;
@@ -154,7 +154,7 @@ fn topology_rows(seed: u64, failed: &mut bool) -> Vec<TopologyRow> {
             mean_wait_secs: stats.mean_wait,
             makespan_secs: stats.makespan,
             throughput_per_sim_sec: stats.throughput,
-            trace_hash: format!("{:016x}", fnv1a(&out.render_trace())),
+            trace_hash: format!("{:016x}", text_fnv1a(&out.render_trace())),
         });
     }
     rows
@@ -197,17 +197,6 @@ fn parsed(name: &str, default: u64) -> u64 {
             std::process::exit(2);
         })
     })
-}
-
-/// 64-bit FNV-1a over a rendered trace — a stable fingerprint CI can diff
-/// across serial and parallel jobs without shipping the whole trace.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Supervision knobs shared by every mode: the injected `taskabort:`
@@ -364,7 +353,7 @@ fn smoke(flags: &CliFlags, seed: u64, sup: Supervision) -> bool {
                 "trace-hash {}/{} {:016x}",
                 discipline.label(),
                 sched.label(),
-                fnv1a(&out.render_trace())
+                text_fnv1a(&out.render_trace())
             );
             if !clean {
                 for (id, rep) in &out.conformance {
@@ -443,7 +432,7 @@ fn ckpt_smoke(
             discipline.label(),
             ckpt.events_len(),
             if fell_back { " (fell back to .prev)" } else { "" },
-            fnv1a(&resumed.render_trace()),
+            text_fnv1a(&resumed.render_trace()),
             if identical { "byte-identical" } else { "DIVERGED" }
         );
         failed |= !identical;
@@ -500,7 +489,7 @@ fn checkpointed_run(flags: &CliFlags, seed: u64, njobs: usize, sup: Supervision,
     });
     let stats = FleetStats::from_outcome(&out);
     println!("{}", stats.render_row("easy/checkpointed"));
-    println!("trace-hash easy {:016x}", fnv1a(&out.render_trace()));
+    println!("trace-hash easy {:016x}", text_fnv1a(&out.render_trace()));
     println!("\nbatch checkpoint run: OK ({saves} checkpoint(s) in {})", dir.display());
 }
 
@@ -529,7 +518,7 @@ fn resume_run(path: &Path) -> bool {
     let out = resume_batch(&ckpt);
     let stats = FleetStats::from_outcome(&out);
     println!("{}", stats.render_row("resumed"));
-    println!("trace-hash resumed {:016x}", fnv1a(&out.render_trace()));
+    println!("trace-hash resumed {:016x}", text_fnv1a(&out.render_trace()));
     println!("\nbatch resume: OK");
     false
 }

@@ -16,9 +16,11 @@
 //! byte-identical to the serial run — the executor-pool determinism
 //! contract, checked end to end.
 
+use std::fmt::Write as _;
+
 use batchsim::{
-    heavy_light_mix, resume_batch, run_batch, run_batch_until, BatchCheckpoint, BatchConfig,
-    Discipline, FleetShape,
+    heavy_light_mix, resume_batch, run_batch, run_batch_until, text_fnv1a, BatchCheckpoint,
+    BatchConfig, Discipline, FleetShape,
 };
 use cluster::{
     run_cluster_faulted, ClusterConfig, JobSpec, LocalSched, NodeFailure, PlacementStrategy,
@@ -26,6 +28,7 @@ use cluster::{
 use experiments::cli::{self, CliFlags};
 use experiments::runner::{run, run_on, run_with_faults, ExperimentMode, WorkloadKind};
 use faultsim::{FaultError, FaultPlan};
+use simcore::snapshot::Fnv1a;
 use workloads::metbench::MetBenchConfig;
 
 /// One row of the `BENCH_faults.json` baseline.
@@ -62,24 +65,12 @@ const FAULT_MATRIX: [(&str, &str); 5] = [
 /// regression gate asserted against `TRACE_baseline.txt`, which pins the
 /// HPCSched traces captured before the Balancer-trait refactor.
 fn trace_fingerprint(records: &[schedsim::TraceRecord]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::default();
     for rec in records {
-        for b in format!("{rec:?}\n").bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        // INVARIANT: the FNV sink never fails.
+        let _ = writeln!(hash, "{rec:?}");
     }
-    hash
-}
-
-/// FNV-1a 64-bit over an already-rendered trace (batch event traces).
-fn text_fingerprint(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    hash.finish()
 }
 
 /// Repository root for the static-analysis pass: the working directory
@@ -193,7 +184,7 @@ fn main() {
             hash_lines.push(format!(
                 "trace-hash batch/{} {:016x}",
                 discipline.label(),
-                text_fingerprint(&out.render_trace())
+                text_fnv1a(&out.render_trace())
             ));
         }
     }

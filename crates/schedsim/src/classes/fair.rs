@@ -1,18 +1,19 @@
 //! The Completely Fair Scheduler class (paper §III).
 //!
-//! Runnable tasks live in a red-black tree ordered by *virtual runtime*;
-//! the leftmost task — the one that has received the least weighted CPU
-//! time — runs next. There is no fixed quantum: each task's slice is its
-//! weight's share of the target latency period. A task's vruntime advances
-//! while it runs, moving it rightward until somebody else becomes leftmost.
+//! Runnable tasks live in an ordered set keyed by *virtual runtime*, task
+//! id breaking ties; the leftmost task — the one that has received the
+//! least weighted CPU time — runs next. There is no fixed quantum: each
+//! task's slice is its weight's share of the target latency period. A
+//! task's vruntime advances while it runs, moving it rightward until
+//! somebody else becomes leftmost.
 
 use crate::class::{ClassCtx, EnqueueKind, Migration, SchedClass};
 use crate::config::CfsTunables;
 use crate::policy::SchedPolicy;
-use crate::rbtree::RbTree;
 use crate::task::TaskId;
 use power5::CpuId;
 use simcore::SimDuration;
+use std::collections::BTreeSet;
 
 /// The load weight of a nice-0 task.
 pub const NICE_0_WEIGHT: u64 = 1024;
@@ -30,23 +31,18 @@ pub fn weight_of_nice(nice: i32) -> u64 {
     NICE_TO_WEIGHT[(nice.clamp(-20, 19) + 20) as usize]
 }
 
-/// Tree key: vruntime first, task id as the unique tie-breaker.
+/// Queue key: vruntime first, task id as the unique tie-breaker.
 type Key = (u64, usize);
 
+#[derive(Default)]
 struct CfsRq {
-    tree: RbTree<Key>,
+    tree: BTreeSet<Key>,
     /// Monotonic floor of vruntime on this queue.
     min_vruntime: u64,
     /// Sum of queued tasks' weights (excludes the running task).
     load: u64,
     /// CPU time the currently running CFS task has accrued since picked.
     curr_runtime: SimDuration,
-}
-
-impl CfsRq {
-    fn new() -> Self {
-        CfsRq { tree: RbTree::new(), min_vruntime: 0, load: 0, curr_runtime: SimDuration::ZERO }
-    }
 }
 
 /// The CFS class.
@@ -65,12 +61,6 @@ impl FairClass {
         FairClass { rqs: Vec::new(), tun, sleeper_credit }
     }
 
-    /// Override the sleeper credit (ablation knob).
-    pub fn with_sleeper_credit(mut self, credit: SimDuration) -> Self {
-        self.sleeper_credit = credit;
-        self
-    }
-
     fn delta_vruntime(delta: SimDuration, weight: u64) -> u64 {
         (delta.as_nanos() as u128 * NICE_0_WEIGHT as u128 / weight as u128) as u64
     }
@@ -85,18 +75,12 @@ impl FairClass {
         SimDuration::from_nanos(share as u64).max(self.tun.min_granularity)
     }
 
-    fn update_min_vruntime(&mut self, cpu: usize, curr_vr: Option<u64>) {
+    /// Advance the queue's floor to the least of the running task's and
+    /// the leftmost queued vruntime (never backwards).
+    fn update_min_vruntime(&mut self, cpu: usize, curr_vr: u64) {
         let rq = &mut self.rqs[cpu];
-        let mut min = curr_vr;
-        if let Some((left, _)) = rq.tree.min() {
-            min = Some(match min {
-                Some(c) => c.min(left),
-                None => left,
-            });
-        }
-        if let Some(m) = min {
-            rq.min_vruntime = rq.min_vruntime.max(m);
-        }
+        let left = rq.tree.first().map_or(curr_vr, |&(vr, _)| vr);
+        rq.min_vruntime = rq.min_vruntime.max(curr_vr.min(left));
     }
 }
 
@@ -110,7 +94,7 @@ impl SchedClass for FairClass {
     }
 
     fn init_cpus(&mut self, num_cpus: usize) {
-        self.rqs = (0..num_cpus).map(|_| CfsRq::new()).collect();
+        self.rqs = (0..num_cpus).map(|_| CfsRq::default()).collect();
     }
 
     fn enqueue(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId, kind: EnqueueKind) {
@@ -152,7 +136,7 @@ impl SchedClass for FairClass {
     }
 
     fn pick_next(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId) -> Option<TaskId> {
-        let (_, id) = self.rqs[cpu.0].tree.pop_min()?;
+        let (_, id) = self.rqs[cpu.0].tree.pop_first()?;
         let weight = weight_of_nice(ctx.task(TaskId(id)).nice);
         let rq = &mut self.rqs[cpu.0];
         rq.load -= weight;
@@ -168,7 +152,7 @@ impl SchedClass for FairClass {
         debug_assert!(inserted, "put_prev of task already queued");
         self.rqs[cpu.0].load += weight;
         let vr = t.vruntime;
-        self.update_min_vruntime(cpu.0, Some(vr));
+        self.update_min_vruntime(cpu.0, vr);
     }
 
     fn charge(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId, delta: SimDuration) {
@@ -177,7 +161,7 @@ impl SchedClass for FairClass {
         t.vruntime += FairClass::delta_vruntime(delta, w);
         let vr = t.vruntime;
         self.rqs[cpu.0].curr_runtime += delta;
-        self.update_min_vruntime(cpu.0, Some(vr));
+        self.update_min_vruntime(cpu.0, vr);
     }
 
     fn task_tick(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) -> bool {
@@ -192,7 +176,7 @@ impl SchedClass for FairClass {
             return true;
         }
         // Also preempt when someone is owed substantially more CPU.
-        if let Some((left_vr, _)) = rq.tree.min() {
+        if let Some(&(left_vr, _)) = rq.tree.first() {
             let gran = FairClass::delta_vruntime(self.tun.wakeup_granularity, weight);
             if t.vruntime > left_vr.saturating_add(gran) {
                 return true;
@@ -234,9 +218,9 @@ impl SchedClass for FairClass {
         let cand = self.rqs[src]
             .tree
             .iter()
-            .map(|(_, id)| TaskId(id))
-            .filter(|&t| ctx.task(t).allowed_on(cpu))
-            .last();
+            .rev()
+            .map(|&(_, id)| TaskId(id))
+            .find(|&t| ctx.task(t).allowed_on(cpu));
         match cand {
             Some(t) => vec![Migration { task: t, from: CpuId(src), to: cpu }],
             None => Vec::new(),
@@ -252,11 +236,6 @@ impl FairClass {
     /// Diagnostic: the min_vruntime of a CPU's queue.
     pub fn min_vruntime(&self, cpu: CpuId) -> u64 {
         self.rqs[cpu.0].min_vruntime
-    }
-
-    /// Diagnostic: validate the tree's red-black invariants.
-    pub fn assert_tree_invariants(&self, cpu: CpuId) {
-        self.rqs[cpu.0].tree.assert_invariants();
     }
 }
 
@@ -446,6 +425,35 @@ mod tests {
     }
 
     #[test]
+    fn steal_takes_the_rightmost_allowed_task() {
+        let topo = Topology::openpower_710();
+        let mut tasks = mk_tasks(6);
+        // (vruntime, pinned to CPU 1): a tie at 300 split by affinity, and
+        // the two rightmost keys unable to move to CPU 0.
+        let setup =
+            [(100, false), (300, false), (300, false), (300, true), (700, true), (700, true)];
+        for (t, &(vr, pinned)) in tasks.iter_mut().zip(&setup) {
+            t.vruntime = vr;
+            if pinned {
+                t.affinity = Some(vec![CpuId(1)]);
+            }
+        }
+        let mut c = fair();
+        let mut cx = ctx(&mut tasks, &topo);
+        for i in 0..6 {
+            c.enqueue(&mut cx, CpuId(1), TaskId(i), EnqueueKind::Migration);
+        }
+        // Largest allowed (vruntime, id) first: (300, 2), (300, 1), (100, 0).
+        for want in [2, 1, 0] {
+            let migs = c.load_balance(&mut cx, CpuId(0), true);
+            assert_eq!(migs.len(), 1);
+            assert_eq!((migs[0].task, migs[0].from), (TaskId(want), CpuId(1)));
+            c.dequeue(&mut cx, CpuId(1), TaskId(want));
+        }
+        assert!(c.load_balance(&mut cx, CpuId(0), true).is_empty(), "only pinned tasks left");
+    }
+
+    #[test]
     fn tree_invariants_hold_through_churn() {
         let topo = Topology::openpower_710();
         let mut tasks = mk_tasks(16);
@@ -454,13 +462,13 @@ mod tests {
         for i in 0..16 {
             cx.task_mut(TaskId(i)).vruntime = (i as u64 * 37) % 11;
             c.enqueue(&mut cx, CpuId(0), TaskId(i), EnqueueKind::Migration);
-            c.assert_tree_invariants(CpuId(0));
         }
         for _ in 0..8 {
+            let least = (0..16).map(|i| (cx.task(TaskId(i)).vruntime, i)).min().unwrap();
             let t = c.pick_next(&mut cx, CpuId(0)).unwrap();
+            assert_eq!(t, TaskId(least.1), "pick is the least (vruntime, id)");
             c.charge(&mut cx, CpuId(0), t, SimDuration::from_millis(3));
             c.put_prev(&mut cx, CpuId(0), t);
-            c.assert_tree_invariants(CpuId(0));
         }
         assert_eq!(c.nr_runnable(CpuId(0)), 16);
     }

@@ -41,12 +41,49 @@ pub const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// 64-bit FNV-1a — the same fingerprint the trace-hash harness uses, so
 /// one hash function covers both artifacts.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
+/// Streaming 64-bit FNV-1a, the workspace's one copy of the hash. Bytes
+/// fold in through `write_bytes` and formatted text through `fmt::Write`,
+/// so a trace hashes without building a `String`; [`Fnv1a::resume`]
+/// carries on from a finished hash.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of no bytes, where every fold starts.
+    pub const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    pub fn resume(hash: u64) -> Fnv1a {
+        Fnv1a(hash)
     }
-    h
+
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
+        }
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(Fnv1a::OFFSET_BASIS)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Why a snapshot could not be decoded. Every variant is a *typed*
@@ -588,6 +625,18 @@ mod tests {
         let back: T = r.get().expect("decode");
         assert_eq!(back, v);
         r.finish().expect("fully consumed");
+    }
+
+    #[test]
+    fn fnv1a_streams_like_the_one_shot_hash() {
+        use std::fmt::Write as _;
+        assert_eq!(fnv1a(b""), Fnv1a::OFFSET_BASIS);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c, "published FNV-1a 64 vector");
+        let mut h = Fnv1a::default();
+        h.write_bytes(b"trace ");
+        let mut h = Fnv1a::resume(h.finish());
+        writeln!(h, "{}-{:?}", 42, "x").unwrap();
+        assert_eq!(h.finish(), fnv1a(b"trace 42-\"x\"\n"));
     }
 
     #[test]
